@@ -11,8 +11,8 @@ from .analytic import (
     ModelParams,
     MomentEntry,
     MomentReport,
+    RESIDUAL_TOL,
     T_MAX,
-    ToleranceConfig,
     c_coefficient,
     closed_moments,
     integral_equation_residual,
@@ -45,8 +45,6 @@ from .montecarlo import (
     simulate_plane,
 )
 from .specfun import (
-    QuadratureConfig,
-    SeriesConfig,
     adaptive_quad,
     erfc_fn,
     gamma_fn,
@@ -68,15 +66,13 @@ __all__ = [
     "NumericsError",
     "PlaneConfig",
     "PoleError",
-    "QuadratureConfig",
     "QuadratureConvergenceError",
+    "RESIDUAL_TOL",
     "RecursionState",
-    "SeriesConfig",
     "SeriesConvergenceError",
     "SimConfig",
     "SimStats",
     "T_MAX",
-    "ToleranceConfig",
     "adaptive_quad",
     "c_coefficient",
     "closed_moments",

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .errors import DenominatorError, DomainError, ExtrapolationError
 from .specfun import (
-    QuadratureConfig,
     _hermite_laplace,
     adaptive_quad,
     erfc_fn,
@@ -42,8 +41,8 @@ __all__ = [
     "ModelParams",
     "MomentEntry",
     "MomentReport",
+    "RESIDUAL_TOL",
     "T_MAX",
-    "ToleranceConfig",
     "c_coefficient",
     "closed_moments",
     "integral_equation_residual",
@@ -68,6 +67,14 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 T_MAX = 5.0
 
 _DENOMINATOR_EPS = 1e-12
+
+# Largest ODE and integral-equation residual the validation verdict accepts.
+RESIDUAL_TOL = 1e-5
+
+# Derivative moments use central stencils with steps _FD_BASE_STEP / 2**i
+# for i < _RICHARDSON_LEVELS, combined by Richardson extrapolation.
+_FD_BASE_STEP = 0.1
+_RICHARDSON_LEVELS = 4
 
 _METHODS = ("closed", "mgf-derivative", "monte-carlo")
 
@@ -132,26 +139,6 @@ class MomentReport:
             if entry.order == order:
                 return entry.std_error
         raise KeyError(f"no entry of order {order}")
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Knobs for derivative-based moments and residual gates."""
-
-    fd_base_step: float = 0.1
-    richardson_levels: int = 4
-    residual_tol: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fd_base_step < 0.5:
-            raise ValueError("fd_base_step must lie in (0, 0.5)")
-        if not 2 <= self.richardson_levels <= 8:
-            raise ValueError("richardson_levels must lie in [2, 8]")
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def _check_q(q: float) -> float:
@@ -383,8 +370,9 @@ _FD_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
 }
 
 
-def _richardson_derivative(f, order: int, cfg: ToleranceConfig) -> tuple[float, float]:
-    """k-th derivative of f at 0 by stencils on h, h/2, ... plus Richardson.
+def _richardson_derivative(f, order: int, base_step: float) -> tuple[float, float]:
+    """k-th derivative of f at 0 by stencils on base_step, base_step/2, ...
+    plus Richardson extrapolation.
 
     Returns (value, uncertainty), the uncertainty being the difference of
     the two deepest extrapolants.  Raises ExtrapolationError when the
@@ -392,11 +380,11 @@ def _richardson_derivative(f, order: int, cfg: ToleranceConfig) -> tuple[float, 
     signals that the step sizes are unusable for this function.
     """
     stencil = _FD_STENCILS[order]
-    levels = cfg.richardson_levels
+    levels = _RICHARDSON_LEVELS
     estimates = []
     max_abs_f = 0.0
     for i in range(levels):
-        h = cfg.fd_base_step / 2.0**i
+        h = base_step / 2.0**i
         values = [(coeff, f(offset * h)) for offset, coeff in stencil]
         max_abs_f = max(max_abs_f, max(abs(fv) for _, fv in values))
         estimates.append(math.fsum(c * fv for c, fv in values) / h**order)
@@ -417,7 +405,7 @@ def _richardson_derivative(f, order: int, cfg: ToleranceConfig) -> tuple[float, 
     # signals that the h^2 error model does not hold, unless it is merely
     # the cancellation roundoff floor of the deepest stencil, which is
     # bounded by eps * sum|coeffs| * max|f| / h_min^order.
-    h_min = cfg.fd_base_step / 2.0 ** (levels - 1)
+    h_min = base_step / 2.0 ** (levels - 1)
     coeff_mass = sum(abs(c) for _, c in stencil)
     roundoff_floor = 2.3e-16 * coeff_mass * max_abs_f / h_min**order
     if (
@@ -432,19 +420,13 @@ def _richardson_derivative(f, order: int, cfg: ToleranceConfig) -> tuple[float, 
     return value, uncertainty
 
 
-def mgf_moments(
-    params: ModelParams,
-    max_order: int = 4,
-    tol: ToleranceConfig | None = None,
-) -> MomentReport:
+def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
     """Raw moments mu_k = d^k/dt^k M_t(0) at t=0 for k = 1 .. max_order.
 
     Derivatives are taken numerically (central stencils plus Richardson
     extrapolation), so this path is independent of the closed-form moment
     expressions and works to order 6.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES
     if not 1 <= max_order <= 6:
         raise ValueError(f"max_order must lie in [1, 6], got {max_order!r}")
     q = params.q
@@ -455,18 +437,14 @@ def mgf_moments(
     # The widest stencil reaches 3h, which must stay clear of the MGF pole
     # at t*(q) (0.13 at q = 0.9) or the difference quotients sample the
     # diverging branch and the extrapolation converges to garbage.
-    step_tol = tol
+    base_step = _FD_BASE_STEP
     t_star = mgf_divergence_point(q, resolution=1e-6)
-    if math.isfinite(t_star) and 3.0 * tol.fd_base_step > 0.7 * t_star:
-        step_tol = ToleranceConfig(
-            fd_base_step=0.7 * t_star / 3.0,
-            richardson_levels=tol.richardson_levels,
-            residual_tol=tol.residual_tol,
-        )
+    if math.isfinite(t_star) and 3.0 * base_step > 0.7 * t_star:
+        base_step = 0.7 * t_star / 3.0
 
     entries = []
     for k in range(1, max_order + 1):
-        value, uncertainty = _richardson_derivative(f, k, step_tol)
+        value, uncertainty = _richardson_derivative(f, k, base_step)
         scale = params.lam ** (-0.5 * k)
         entries.append(
             MomentEntry(
@@ -503,9 +481,7 @@ def ode_residual(t: float, y: float, q: float, h: float) -> float:
     return d2 - (y - t) * d1 - (1.0 - q) * m0 + (1.0 - q)
 
 
-def integral_equation_residual(
-    t: float, q: float, quad: QuadratureConfig | None = None
-) -> float:
+def integral_equation_residual(t: float, q: float) -> float:
     """Residual of the defining fixed-point relation at y = 0:
 
         M_t(0) = (1-q) [1 + sqrt(pi/2) t e^(t^2/2) erfc(-t/sqrt(2))]
@@ -521,7 +497,7 @@ def integral_equation_residual(
     q = _check_q(q)
     upper = t + 9.0
     integral = adaptive_quad(
-        lambda u: erfc_fn((u - t) / _SQRT2) * mgf(t, u, q), 0.0, upper, quad
+        lambda u: erfc_fn((u - t) / _SQRT2) * mgf(t, u, q), 0.0, upper
     )
     growth = math.exp(0.5 * t * t)
     rhs = (1.0 - q) * (

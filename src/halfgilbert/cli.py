@@ -17,6 +17,7 @@ import numpy as np
 
 from . import montecarlo
 from .analytic import (
+    RESIDUAL_TOL,
     MgfPoint,
     ModelParams,
     MomentReport,
@@ -96,12 +97,6 @@ def _argument_error(message: str) -> int:
     return 2
 
 
-def _check_q_flag(q: float) -> str | None:
-    if not 0.0 < q < 1.0:
-        return f"--q must lie strictly inside (0, 1), got {q}"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -142,11 +137,13 @@ def _print_moments(report: MomentReport, fmt: str) -> None:
 
 
 def cmd_moments(args) -> int:
-    problem = _check_q_flag(args.q)
-    if problem:
-        return _argument_error(problem)
-    if args.lam <= 0.0:
-        return _argument_error(f"--lambda must be positive, got {args.lam}")
+    # Only the constructors are guarded: NumericsError is a ValueError too,
+    # and a computation that raises it must still exit 3.
+    try:
+        params = ModelParams(q=args.q, lam=args.lam)
+        config = SimConfig(params=params, samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        return _argument_error(str(exc))
     if not 1 <= args.max_order <= 6:
         return _argument_error(f"--max-order must lie in 1..6, got {args.max_order}")
     if args.method == "closed" and args.max_order > 4:
@@ -154,17 +151,12 @@ def cmd_moments(args) -> int:
             "closed-form moments exist for orders 1..4 only; "
             "use --method mgf or mc for higher orders"
         )
-    if args.samples < 1:
-        return _argument_error("--samples must be at least 1")
-    params = ModelParams(q=args.q, lam=args.lam)
     if args.method == "closed":
         report = closed_moments(params, orders=tuple(range(1, args.max_order + 1)))
     elif args.method == "mgf":
         report = mgf_moments(params, max_order=args.max_order)
     else:
-        stats = montecarlo.run_monte_carlo(
-            SimConfig(params=params, samples=args.samples, seed=args.seed)
-        )
+        stats = montecarlo.run_monte_carlo(config)
         report = MomentReport(
             params=params,
             entries=tuple(
@@ -192,9 +184,10 @@ def _mc_entry(stats, order: int):
 
 
 def cmd_mgf(args) -> int:
-    problem = _check_q_flag(args.q)
-    if problem:
-        return _argument_error(problem)
+    try:
+        ModelParams(q=args.q)
+    except ValueError as exc:
+        return _argument_error(str(exc))
     if args.y < 0.0:
         return _argument_error(f"--y must be nonnegative, got {args.y}")
     if args.steps < 1:
@@ -231,22 +224,25 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    problem = _check_q_flag(args.q)
-    if problem:
-        return _argument_error(problem)
-    if args.lam <= 0.0:
-        return _argument_error(f"--lambda must be positive, got {args.lam}")
-    params = ModelParams(q=args.q, lam=args.lam)
+    try:
+        params = ModelParams(q=args.q, lam=args.lam)
+        if args.engine == "recursion":
+            config = SimConfig(
+                params=params, samples=args.samples, seed=args.seed, workers=args.workers
+            )
+        else:
+            config = PlaneConfig(
+                params=params,
+                window_width=args.window_w,
+                window_height=args.window_h,
+                margin=args.margin,
+                seed=args.seed,
+            )
+    except ValueError as exc:
+        return _argument_error(str(exc))
     if args.engine == "recursion":
-        if args.samples < 1:
-            return _argument_error("--samples must be at least 1")
-        if args.workers < 1:
-            return _argument_error("--workers must be at least 1")
-        config = SimConfig(
-            params=params, samples=args.samples, seed=args.seed, workers=args.workers
-        )
         samples = draw_samples(config)
-        stats = montecarlo._stats_from_lengths(samples, config.seed)
+        stats = montecarlo.stats_from_lengths(samples, config.seed)
         if args.dump:
             np.savetxt(args.dump, samples, fmt="%.17g")
         # The worker count is deliberately not echoed: output is required
@@ -258,20 +254,12 @@ def cmd_simulate(args) -> int:
             "seed": args.seed,
         }
     else:
-        try:
-            config = PlaneConfig(
-                params=params,
-                window_width=args.window_w,
-                window_height=args.window_h,
-                margin=args.margin,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            return _argument_error(str(exc))
-        stats = simulate_plane(config)
         if args.dump:
-            lengths, _ = montecarlo._plane_lengths(config)
+            lengths, censored = montecarlo.plane_lengths(config)
+            stats = montecarlo.stats_from_lengths(lengths, config.seed, censored)
             np.savetxt(args.dump, lengths, fmt="%.17g")
+        else:
+            stats = simulate_plane(config)
         doc = {
             "engine": "plane",
             "params": {"q": params.q, "lambda": params.lam},
@@ -300,15 +288,12 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_validation_report(
-    q: float, samples: int, seed: int
-) -> ValidationReport:
-    params = ModelParams(q=q)
+def _build_validation_report(config: SimConfig) -> ValidationReport:
+    params = config.params
+    q = params.q
     closed = closed_moments(params, orders=(1, 2, 3, 4))
     derived = mgf_moments(params, max_order=5)
-    stats = montecarlo.run_monte_carlo(
-        SimConfig(params=params, samples=samples, seed=seed)
-    )
+    stats = montecarlo.run_monte_carlo(config)
     rows = []
     for order in range(1, 6):
         closed_value = closed.value(order) if order <= 4 else None
@@ -347,11 +332,10 @@ def _build_validation_report(
             abs(mgf(t, 0.0, 0.5) - mgf_special_half(t))
             for t in (-2.0 + 0.1 * i for i in range(41))
         )
-    tol = 1e-5
     ok = (
         all(row.agreement for row in rows)
-        and ode_max < tol
-        and ie_max < tol
+        and ode_max < RESIDUAL_TOL
+        and ie_max < RESIDUAL_TOL
         and (special is None or special < _SPECIAL_HALF_TOL)
     )
     return ValidationReport(
@@ -360,7 +344,7 @@ def _build_validation_report(
         ode_residual_max=ode_max,
         ie_residual_max=ie_max,
         special_half_max_diff=special,
-        residual_tol=tol,
+        residual_tol=RESIDUAL_TOL,
         verdict="pass" if ok else "fail",
     )
 
@@ -417,11 +401,12 @@ def _print_validation(report: ValidationReport, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    problem = _check_q_flag(args.q)
-    if problem:
-        return _argument_error(problem)
-    if args.samples < 1:
-        return _argument_error("--samples must be at least 1")
+    try:
+        config = SimConfig(
+            params=ModelParams(q=args.q), samples=args.samples, seed=args.seed
+        )
+    except ValueError as exc:
+        return _argument_error(str(exc))
     if args.q > _VALIDATE_Q_MAX:
         print(
             f"error: q={args.q} is too close to 1 to validate: the moments "
@@ -431,7 +416,7 @@ def cmd_validate(args) -> int:
             file=sys.stderr,
         )
         return 3
-    report = _build_validation_report(args.q, args.samples, args.seed)
+    report = _build_validation_report(config)
     _print_validation(report, args.format)
     return 0 if report.verdict == "pass" else 1
 

@@ -33,9 +33,11 @@ __all__ = [
     "SimStats",
     "draw_samples",
     "empirical_mgf",
+    "plane_lengths",
     "run_monte_carlo",
     "sample_ray_length",
     "simulate_plane",
+    "stats_from_lengths",
 ]
 
 # Fixed chunk size for the recursion sampler; must not depend on the worker
@@ -206,13 +208,11 @@ def draw_samples(config: SimConfig) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _stats_from_lengths(
-    lengths: np.ndarray,
-    seed: int,
-    censored: int = 0,
-    censored_warning: bool = False,
-) -> SimStats:
+def stats_from_lengths(lengths: np.ndarray, seed: int, censored: int = 0) -> SimStats:
+    """SimStats of finished terminal lengths, plus `censored` rays that did
+    not finish; censored_warning is set when they exceed 1% of all rays."""
     n = int(lengths.size)
+    censored_warning = n + censored > 0 and censored / (n + censored) > 0.01
     if n == 0:
         nan = float("nan")
         zeros = (0.0,) * _N_MOMENTS
@@ -256,7 +256,7 @@ def _stats_from_lengths(
 
 def run_monte_carlo(config: SimConfig) -> SimStats:
     """SimStats over config.samples independent recursion draws."""
-    return _stats_from_lengths(draw_samples(config), config.seed)
+    return stats_from_lengths(draw_samples(config), config.seed)
 
 
 def empirical_mgf(samples, t: float) -> float:
@@ -349,7 +349,7 @@ def _resolve_blockings(
     return np.array(stop_e), np.array(stop_s)
 
 
-def _plane_lengths(config: PlaneConfig) -> tuple[np.ndarray, int]:
+def plane_lengths(config: PlaneConfig) -> tuple[np.ndarray, int]:
     """Terminal lengths of interior east rays, plus the censored count.
 
     Draw order (fixed for reproducibility): seed count, x coordinates,
@@ -387,9 +387,5 @@ def simulate_plane(config: PlaneConfig) -> SimStats:
     edge.  Interior east rays that are never blocked inside the window are
     counted as censored and excluded from the moments.
     """
-    lengths, censored = _plane_lengths(config)
-    total = int(lengths.size) + censored
-    warn = total > 0 and censored / total > 0.01
-    return _stats_from_lengths(
-        lengths, config.seed, censored=censored, censored_warning=warn
-    )
+    lengths, censored = plane_lengths(config)
+    return stats_from_lengths(lengths, config.seed, censored)

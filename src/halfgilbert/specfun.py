@@ -7,15 +7,14 @@ independent routes: a two-term 1F1 combination (`hermite_fn`) and direct
 adaptive quadrature of its integral representation (`hermite_fn_integral`).
 Agreement of the two routes is the correctness oracle for both.
 
-Everything here is a pure function of its arguments and configuration and is
-safe to call concurrently.
+Everything here is a pure function of its arguments and is safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
 
 from .errors import (
     DomainError,
@@ -25,8 +24,6 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadratureConfig",
-    "SeriesConfig",
     "adaptive_quad",
     "erfc_fn",
     "gamma_fn",
@@ -45,53 +42,19 @@ _POLE_EPS = 1e-9
 # precision once z^2 > 709, so 26^2 = 676 keeps a safety margin.
 _HERMITE_Z_MAX = 26.0
 
+# The 1F1 series stops once a term falls below this fraction of the partial
+# sum twice in a row (guarding against an accidental zero crossing of one
+# term), and raises SeriesConvergenceError after _SERIES_MAX_TERMS terms.
+_SERIES_REL_TOL = 1e-16
+_SERIES_MAX_TERMS = 500
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Termination control for ascending power series.
+# Panel budget of adaptive_quad before QuadratureConvergenceError.
+_QUAD_MAX_PANELS = 400
 
-    term_rel_tol: stop once |term| < term_rel_tol * |partial sum| (twice in
-    a row, guarding against accidental zero crossings of a term).
-    max_terms: hard budget before SeriesConvergenceError.
-    """
-
-    term_rel_tol: float = 1e-16
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.term_rel_tol > 0.0:
-            raise ValueError("term_rel_tol must be positive")
-        if self.max_terms < 10:
-            raise ValueError("max_terms must be at least 10")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Targets and limits for adaptive Gauss-Kronrod integration.
-
-    tail_cutoff is the finite upper limit substituted for infinity in
-    semi-infinite integrals whose integrand decays like exp(-u^2); at the
-    default 12 the discarded tail is below exp(-144) ~ 4e-63.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 400
-    tail_cutoff: float = 12.0
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if not self.tail_cutoff > 0.0:
-            raise ValueError("tail_cutoff must be positive")
-
-
-DEFAULT_SERIES = SeriesConfig()
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Finite upper limit substituted for infinity in hermite_fn_integral, whose
+# integrand decays like exp(-u^2): the discarded tail is below
+# exp(-144) ~ 4e-63.
+_TAIL_CUTOFF = 12.0
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -176,7 +139,7 @@ def erfc_fn(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kummer_1f1(a: float, b: float, z: float, cfg: SeriesConfig | None = None) -> float:
+def kummer_1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function 1F1(a; b; z) for real arguments.
 
     Negative z is always rewritten through the Kummer transformation
@@ -184,8 +147,6 @@ def kummer_1f1(a: float, b: float, z: float, cfg: SeriesConfig | None = None) ->
     with eventually same-signed terms (the direct series at z < 0
     alternates and cancels catastrophically).
     """
-    if cfg is None:
-        cfg = DEFAULT_SERIES
     a = _require_finite("a", a)
     b = _require_finite("b", b)
     z = _require_finite("z", z)
@@ -193,20 +154,20 @@ def kummer_1f1(a: float, b: float, z: float, cfg: SeriesConfig | None = None) ->
     if nearest <= 0 and abs(b - nearest) < _POLE_EPS:
         raise PoleError(f"1F1 parameter pole: b={b!r} is a non-positive integer")
     if z < 0.0:
-        return math.exp(z) * _kummer_series(b - a, b, -z, cfg)
-    return _kummer_series(a, b, z, cfg)
+        return math.exp(z) * _kummer_series(b - a, b, -z)
+    return _kummer_series(a, b, z)
 
 
-def _kummer_series(a: float, b: float, z: float, cfg: SeriesConfig) -> float:
+def _kummer_series(a: float, b: float, z: float) -> float:
     terms = [1.0]
     term = 1.0
     partial = 1.0
     small_streak = 0
-    for k in range(cfg.max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         terms.append(term)
         partial += term
-        if abs(term) <= cfg.term_rel_tol * abs(partial):
+        if abs(term) <= _SERIES_REL_TOL * abs(partial):
             small_streak += 1
             if small_streak >= 2:
                 # fsum removes accumulation roundoff; matters when large
@@ -215,7 +176,7 @@ def _kummer_series(a: float, b: float, z: float, cfg: SeriesConfig) -> float:
         else:
             small_streak = 0
     raise SeriesConvergenceError(
-        f"1F1({a}, {b}, {z}) did not converge within {cfg.max_terms} terms"
+        f"1F1({a}, {b}, {z}) did not converge within {_SERIES_MAX_TERMS} terms"
     )
 
 
@@ -290,18 +251,22 @@ def _gk15(f, a: float, b: float) -> tuple[float, float, float]:
     return integral, err, resabs
 
 
-def adaptive_quad(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
+def adaptive_quad(
+    f, a: float, b: float, *, abs_tol: float = 1e-10, rel_tol: float = 1e-10
+) -> float:
     """Integrate f over [a, b] by adaptive bisection of Kronrod panels.
 
     Convergence is declared when the summed panel error estimates drop
     below max(abs_tol, rel_tol * |integral|, roundoff floor); the floor
     (50 eps times the accumulated absolute mass) keeps tolerance requests
-    beyond double precision from spinning until the subdivision budget is
-    exhausted.  Raises QuadratureConvergenceError if max_subdivisions
-    panels are not enough.
+    beyond double precision from spinning until the panel budget is
+    exhausted.  Raises QuadratureConvergenceError if 400 panels are not
+    enough, and ValueError unless both tolerances are positive.
     """
-    if cfg is None:
-        cfg = DEFAULT_QUADRATURE
+    if not abs_tol > 0.0:
+        raise ValueError(f"abs_tol must be positive, got {abs_tol!r}")
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
     a = _require_finite("a", a)
     b = _require_finite("b", b)
     if a == b:
@@ -309,7 +274,6 @@ def adaptive_quad(f, a: float, b: float, cfg: QuadratureConfig | None = None) ->
     # Start from several panels: a single Kronrod panel can agree with its
     # embedded Gauss rule by accident and report a spuriously small error.
     initial = max(2, min(16, math.ceil(abs(b - a))))
-    initial = min(initial, cfg.max_subdivisions)
     edges = [a + (b - a) * i / initial for i in range(initial + 1)]
     # heap entries: (-error, tie-break counter, a, b, integral, mass)
     counter = 0
@@ -325,9 +289,9 @@ def adaptive_quad(f, a: float, b: float, cfg: QuadratureConfig | None = None) ->
         # Each panel's estimate is already floored at 50 eps x its mass, so
         # the acceptance floor must sit above the sum of those panel floors.
         floor = 200.0 * _EPS * total_mass
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total), floor):
+        if total_err <= max(abs_tol, rel_tol * abs(total), floor):
             return total
-        if len(panels) >= cfg.max_subdivisions:
+        if len(panels) >= _QUAD_MAX_PANELS:
             raise QuadratureConvergenceError(
                 f"quadrature on [{a}, {b}] stalled at error {total_err:.3e} "
                 f"after {len(panels)} panels"
@@ -345,7 +309,7 @@ def adaptive_quad(f, a: float, b: float, cfg: QuadratureConfig | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def hermite_fn(v: float, z: float, cfg: SeriesConfig | None = None) -> float:
+def hermite_fn(v: float, z: float) -> float:
     """Hermite function H_v(z) for real order v > -1.
 
     Evaluated as the standard two-term Kummer combination
@@ -365,12 +329,9 @@ def hermite_fn(v: float, z: float, cfg: SeriesConfig | None = None) -> float:
     z2 = z * z
     c1 = _reciprocal_gamma((1.0 - v) / 2.0)
     c2 = _reciprocal_gamma(-v / 2.0)
-    t1 = c1 * kummer_1f1(-v / 2.0, 0.5, z2, cfg) if c1 != 0.0 else 0.0
-    t2 = 2.0 * z * c2 * kummer_1f1((1.0 - v) / 2.0, 1.5, z2, cfg) if c2 != 0.0 else 0.0
+    t1 = c1 * kummer_1f1(-v / 2.0, 0.5, z2) if c1 != 0.0 else 0.0
+    t2 = 2.0 * z * c2 * kummer_1f1((1.0 - v) / 2.0, 1.5, z2) if c2 != 0.0 else 0.0
     return 2.0**v * _SQRT_PI * (t1 - t2)
-
-
-_LAPLACE_QUAD = QuadratureConfig(abs_tol=1e-14, rel_tol=5e-14, max_subdivisions=400)
 
 
 def _hermite_laplace(v: float, z: float) -> float:
@@ -421,26 +382,25 @@ def _hermite_laplace(v: float, z: float) -> float:
     head = math.fsum(terms)
     upper = max(-z, 0.0) + 8.0
     rest = adaptive_quad(
-        lambda s: s ** (alpha - 1.0) * g(s), delta, upper, _LAPLACE_QUAD
+        lambda s: s ** (alpha - 1.0) * g(s), delta, upper, abs_tol=1e-14, rel_tol=5e-14
     )
     return (head + rest) / gamma_fn(alpha)
 
 
-def hermite_fn_integral(v: float, z: float, cfg: QuadratureConfig | None = None) -> float:
+def hermite_fn_integral(v: float, z: float) -> float:
     """Hermite function H_v(z) by quadrature of its integral representation
 
         H_v(z) = 2^(v+1)/sqrt(pi) exp(z^2)
                  * integral_0^inf exp(-u^2) u^v cos(2 z u - pi v / 2) du,
 
-    valid for v > -1.  The integral is truncated at cfg.tail_cutoff, where
-    the remainder is bounded by exp(-U^2) (about 4e-63 at the default
-    U = 12).  For v < 0 the u^v endpoint singularity on [0, 1] is removed
-    exactly by the substitution u = w^(1/(v+1)), under which u^v du becomes
-    dw/(v+1); [1, U] is integrated directly.  Requires |z| <= 26 so the
-    exp(z^2) prefactor stays inside double range.
+    valid for v > -1.  The integral is truncated at U = 12, where the
+    remainder is bounded by exp(-U^2), about 4e-63.  For v < 0 the u^v
+    endpoint singularity on [0, 1] is removed exactly by the substitution
+    u = w^(1/(v+1)), under which u^v du becomes dw/(v+1); [1, U] is
+    integrated directly.  The quadrature targets an error of 1e-10 in the
+    returned value, absolute or relative, whichever is looser.
+    Requires |z| <= 26 so the exp(z^2) prefactor stays inside double range.
     """
-    if cfg is None:
-        cfg = DEFAULT_QUADRATURE
     v = _require_finite("v", v)
     z = _require_finite("z", z)
     if v <= -1.0:
@@ -456,19 +416,15 @@ def hermite_fn_integral(v: float, z: float, cfg: QuadratureConfig | None = None)
         return math.exp(-u * u) * math.cos(two_z * u - phase)
 
     scale = 2.0 ** (v + 1.0) / _SQRT_PI * math.exp(z * z)
-    # Tolerance applies to the returned value, so the inner integral is
-    # integrated to abs_tol / scale (the roundoff floor in adaptive_quad
-    # bounds what is achievable when scale is large).
-    inner_cfg = replace(cfg, abs_tol=cfg.abs_tol / scale)
-    upper = cfg.tail_cutoff
+    # The 1e-10 tolerance applies to the returned value, so the inner
+    # integral is taken to 1e-10 / scale (the roundoff floor in
+    # adaptive_quad bounds what is achievable when scale is large).
+    abs_tol = 1e-10 / scale
     if v < 0.0:
         power = 1.0 / (v + 1.0)
-        split = min(1.0, upper)
-        head = adaptive_quad(
-            lambda w: g(w**power), 0.0, split ** (v + 1.0), inner_cfg
-        ) / (v + 1.0)
-        tail = 0.0
-        if upper > 1.0:
-            tail = adaptive_quad(lambda u: u**v * g(u), 1.0, upper, inner_cfg)
-        return scale * (head + tail)
-    return scale * adaptive_quad(lambda u: u**v * g(u), 0.0, upper, inner_cfg)
+        head = adaptive_quad(lambda w: g(w**power), 0.0, 1.0, abs_tol=abs_tol)
+        tail = adaptive_quad(lambda u: u**v * g(u), 1.0, _TAIL_CUTOFF, abs_tol=abs_tol)
+        return scale * (head / (v + 1.0) + tail)
+    return scale * adaptive_quad(
+        lambda u: u**v * g(u), 0.0, _TAIL_CUTOFF, abs_tol=abs_tol
+    )

@@ -7,12 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from halfgilbert import analytic as an
-from halfgilbert.analytic import (
-    ModelParams,
-    MomentEntry,
-    ToleranceConfig,
-    _richardson_derivative,
-)
+from halfgilbert.analytic import ModelParams, MomentEntry, _richardson_derivative
 from halfgilbert.errors import DenominatorError, DomainError, ExtrapolationError
 from halfgilbert.specfun import erfc_fn, hermite_fn
 
@@ -133,9 +128,7 @@ class TestMgf:
         assert worst < 1e-9
 
     def test_first_derivative_reference(self):
-        value, _ = _richardson_derivative(
-            lambda t: an.mgf(t, 0.0, 0.4), 1, ToleranceConfig()
-        )
+        value, _ = _richardson_derivative(lambda t: an.mgf(t, 0.0, 0.4), 1, 0.1)
         assert rel(value, 1.81696) < 1e-4
 
     def test_shape_on_valid_domain(self):
@@ -272,7 +265,7 @@ class TestMgfMoments:
     def test_divergence_detector(self):
         step = lambda t: 1.0 if t >= 0.03 else 0.0
         with pytest.raises(ExtrapolationError):
-            _richardson_derivative(step, 1, ToleranceConfig())
+            _richardson_derivative(step, 1, 0.1)
 
 
 class TestResiduals:
@@ -328,13 +321,3 @@ class TestReportTypes:
         with pytest.raises(KeyError):
             report.value(3)
         assert report.std_error(1) is None
-
-    def test_tolerance_config_validation(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(fd_base_step=0.5)
-        with pytest.raises(ValueError):
-            ToleranceConfig(richardson_levels=1)
-        with pytest.raises(ValueError):
-            ToleranceConfig(richardson_levels=9)
-        with pytest.raises(ValueError):
-            ToleranceConfig(residual_tol=0.0)

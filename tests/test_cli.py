@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from halfgilbert import cli, montecarlo
 from halfgilbert.analytic import mgf_special_half
 
 
@@ -137,6 +139,51 @@ class TestSimulate:
         assert all(v > 0.0 for v in values)
         doc = json.loads(result.stdout)
         assert abs(sum(values) / 500 - doc["mean"]) < 1e-12
+
+    def test_plane_dump_simulates_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        resolve = montecarlo._resolve_blockings
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(montecarlo, "_resolve_blockings", counted)
+        dump = tmp_path / "lengths.txt"
+        code = cli.main([
+            "simulate", "--q", "0.45", "--engine", "plane", "--window-w", "30",
+            "--window-h", "30", "--margin", "8", "--seed", "4", "--dump", str(dump),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        values = np.loadtxt(dump)
+        assert values.size == doc["n"] > 0
+        assert abs(values.mean() - doc["mean"]) < 1e-12
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--q", "0.4", "--samples", "10", "--seed", "-1"),
+            ("simulate", "--q", "0.4", "--samples", "10", "--seed", str(2**64)),
+            ("simulate", "--q", "0.4", "--samples", "10", "--lambda", "nan"),
+            ("simulate", "--q", "0.4", "--engine", "plane", "--lambda", "nan"),
+            ("moments", "--q", "0.4", "--method", "mc", "--samples", "10",
+             "--seed", "-1"),
+            ("moments", "--q", "0.4", "--method", "mc", "--samples", "10",
+             "--seed", str(2**64)),
+            ("moments", "--q", "0.4", "--lambda", "nan"),
+            ("validate", "--q", "0.4", "--samples", "10", "--seed", "-1"),
+            ("validate", "--q", "0.4", "--samples", "10", "--seed", str(2**64)),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, argv, capsys):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestValidate:

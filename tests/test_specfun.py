@@ -119,9 +119,9 @@ class TestKummer:
             sf.kummer_1f1(0.5, b, 1.0)
 
     def test_nonconvergence(self):
-        cfg = sf.SeriesConfig(term_rel_tol=1e-16, max_terms=10)
+        # e^400: the terms only start to shrink after 400 of the 500 allowed
         with pytest.raises(SeriesConvergenceError):
-            sf.kummer_1f1(1.0, 1.0, 40.0, cfg)
+            sf.kummer_1f1(1.0, 1.0, 400.0)
 
 
 class TestHermite:
@@ -207,24 +207,11 @@ class TestAdaptiveQuad:
         assert sf.adaptive_quad(math.exp, 1.0, 1.0) == 0.0
 
     def test_nonconvergence(self):
-        cfg = sf.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
+        # the integral of 1/x over [0, 1] diverges; 400 panels cannot hide it
         with pytest.raises(QuadratureConvergenceError):
-            sf.adaptive_quad(lambda x: x**-0.5, 0.0, 1.0, cfg)
+            sf.adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0)
 
-
-class TestConfigs:
-    def test_series_config_invariants(self):
+    @pytest.mark.parametrize("name,value", [("abs_tol", -1e-10), ("rel_tol", 0.0)])
+    def test_tolerance_must_be_positive(self, name, value):
         with pytest.raises(ValueError):
-            sf.SeriesConfig(term_rel_tol=0.0)
-        with pytest.raises(ValueError):
-            sf.SeriesConfig(max_terms=5)
-
-    def test_quadrature_config_invariants(self):
-        with pytest.raises(ValueError):
-            sf.QuadratureConfig(abs_tol=-1e-10)
-        with pytest.raises(ValueError):
-            sf.QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            sf.QuadratureConfig(max_subdivisions=0)
-        with pytest.raises(ValueError):
-            sf.QuadratureConfig(tail_cutoff=0.0)
+            sf.adaptive_quad(math.exp, 0.0, 1.0, **{name: value})
