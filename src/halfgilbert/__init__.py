@@ -7,7 +7,6 @@ moments, and two independent Monte Carlo oracles that validate them.
 """
 
 from .analytic import (
-    MgfPoint,
     ModelParams,
     MomentEntry,
     MomentReport,
@@ -35,13 +34,11 @@ from .errors import (
 )
 from .montecarlo import (
     PlaneConfig,
-    RecursionState,
     SimConfig,
     SimStats,
     draw_samples,
     empirical_mgf,
     run_monte_carlo,
-    sample_ray_length,
     simulate_plane,
 )
 from .specfun import (
@@ -59,7 +56,6 @@ __all__ = [
     "DenominatorError",
     "DomainError",
     "ExtrapolationError",
-    "MgfPoint",
     "ModelParams",
     "MomentEntry",
     "MomentReport",
@@ -68,7 +64,6 @@ __all__ = [
     "PoleError",
     "QuadratureConvergenceError",
     "RESIDUAL_TOL",
-    "RecursionState",
     "SeriesConvergenceError",
     "SimConfig",
     "SimStats",
@@ -92,6 +87,5 @@ __all__ = [
     "mgf_special_half",
     "ode_residual",
     "run_monte_carlo",
-    "sample_ray_length",
     "simulate_plane",
 ]

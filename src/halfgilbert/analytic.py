@@ -37,7 +37,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "MgfPoint",
     "ModelParams",
     "MomentEntry",
     "MomentReport",
@@ -91,20 +90,8 @@ class ModelParams:
             raise ValueError(f"q must lie strictly inside (0, 1), got {self.q!r}")
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam!r}")
-
-
-@dataclass(frozen=True)
-class MgfPoint:
-    """One evaluated MGF sample (t, y, M_t(y)).
-
-    On the probabilistically valid domain t < mgf_divergence_point(q) the
-    value satisfies value >= 1 for t >= 0 and 0 < value <= 1 for t <= 0;
-    points past the divergence abscissa carry continuation values.
-    """
-
-    t: float
-    y: float
-    value: float
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import montecarlo
 from .analytic import (
     RESIDUAL_TOL,
-    MgfPoint,
     ModelParams,
-    MomentReport,
     integral_equation_residual,
     closed_moments,
     mgf,
@@ -31,7 +28,7 @@ from .analytic import (
 from .errors import NumericsError
 from .montecarlo import PlaneConfig, SimConfig, draw_samples, simulate_plane
 
-__all__ = ["ValidationReport", "ValidationRow", "main", "entrypoint"]
+__all__ = ["main", "entrypoint"]
 
 # Relative agreement required between closed-form and derivative moments,
 # per order; order 5 has no closed form and is checked against Monte Carlo
@@ -52,27 +49,6 @@ _ODE_STEP = 1e-3
 _IE_T_GRID = (-2.0, -1.0, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class ValidationRow:
-    order: int
-    closed_value: float | None
-    mgf_value: float
-    mc_value: float
-    mc_std_error: float
-    agreement: bool
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    params: ModelParams
-    rows: tuple[ValidationRow, ...]
-    ode_residual_max: float
-    ie_residual_max: float
-    special_half_max_diff: float | None
-    residual_tol: float
-    verdict: str
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -88,8 +64,28 @@ def _sanitize(obj):
     return obj
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(_sanitize(doc), indent=2, allow_nan=False))
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _emit(doc: dict, fmt: str, rows: str | None = None, table=None) -> None:
+    """Print a command's document as JSON, as CSV of its `rows` records (the
+    header is their keys), or through the command's own table printer."""
+    if fmt == "json":
+        print(json.dumps(_sanitize(doc), indent=2, allow_nan=False))
+    elif fmt == "csv":
+        records = doc[rows]
+        print(",".join(records[0]))
+        for record in records:
+            print(",".join(_csv_cell(v) for v in record.values()))
+    else:
+        table(doc)
 
 
 def _argument_error(message: str) -> int:
@@ -97,43 +93,20 @@ def _argument_error(message: str) -> int:
     return 2
 
 
+def _params_doc(params: ModelParams) -> dict:
+    return {"q": params.q, "lambda": params.lam}
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
 
 
-def _report_rows(report: MomentReport):
-    for entry in report.entries:
-        yield entry.order, entry.value, entry.method, entry.std_error
-
-
-def _print_moments(report: MomentReport, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(
-            {
-                "params": {"q": report.params.q, "lambda": report.params.lam},
-                "entries": [
-                    {
-                        "order": order,
-                        "value": value,
-                        "method": method,
-                        "std_error": std_error,
-                    }
-                    for order, value, method, std_error in _report_rows(report)
-                ],
-            }
-        )
-        return
-    if fmt == "csv":
-        print("order,value,method,std_error")
-        for order, value, method, std_error in _report_rows(report):
-            err = _fmt(std_error) if std_error is not None else ""
-            print(f"{order},{_fmt(value)},{method},{err}")
-        return
+def _moments_table(doc: dict) -> None:
     print(f"{'order':>5}  {'value':<22}  {'method':<14}  std_error")
-    for order, value, method, std_error in _report_rows(report):
-        err = _fmt(std_error) if std_error is not None else "-"
-        print(f"{order:>5}  {_fmt(value):<22}  {method:<14}  {err}")
+    for e in doc["entries"]:
+        err = _fmt(e["std_error"]) if e["std_error"] is not None else "-"
+        print(f"{e['order']:>5}  {_fmt(e['value']):<22}  {e['method']:<14}  {err}")
 
 
 def cmd_moments(args) -> int:
@@ -151,31 +124,24 @@ def cmd_moments(args) -> int:
             "closed-form moments exist for orders 1..4 only; "
             "use --method mgf or mc for higher orders"
         )
-    if args.method == "closed":
-        report = closed_moments(params, orders=tuple(range(1, args.max_order + 1)))
-    elif args.method == "mgf":
-        report = mgf_moments(params, max_order=args.max_order)
-    else:
+    orders = range(1, args.max_order + 1)
+    if args.method == "mc":
         stats = montecarlo.run_monte_carlo(config)
-        report = MomentReport(
-            params=params,
-            entries=tuple(
-                _mc_entry(stats, k) for k in range(1, args.max_order + 1)
-            ),
-        )
-    _print_moments(report, args.format)
+        rows = [
+            (k, stats.raw_moments[k - 1], "monte-carlo", stats.std_errors[k - 1])
+            for k in orders
+        ]
+    else:
+        if args.method == "closed":
+            report = closed_moments(params, orders=tuple(orders))
+        else:
+            report = mgf_moments(params, max_order=args.max_order)
+        rows = [(e.order, e.value, e.method, e.std_error) for e in report.entries]
+    keys = ("order", "value", "method", "std_error")
+    entries = [dict(zip(keys, row)) for row in rows]
+    doc = {"params": _params_doc(params), "entries": entries}
+    _emit(doc, args.format, "entries", _moments_table)
     return 0
-
-
-def _mc_entry(stats, order: int):
-    from .analytic import MomentEntry
-
-    return MomentEntry(
-        order=order,
-        value=stats.raw_moments[order - 1],
-        method="monte-carlo",
-        std_error=stats.std_errors[order - 1],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +154,13 @@ def cmd_mgf(args) -> int:
         ModelParams(q=args.q)
     except ValueError as exc:
         return _argument_error(str(exc))
-    if args.y < 0.0:
+    # Written so that NaN fails every check.
+    if not args.y >= 0.0:
         return _argument_error(f"--y must be nonnegative, got {args.y}")
     if args.steps < 1:
         return _argument_error(f"--steps must be at least 1, got {args.steps}")
+    if not all(map(math.isfinite, (args.y, args.t_min, args.t_max))):
+        return _argument_error("--y, --t-min and --t-max must be finite")
     if args.t_max < args.t_min:
         return _argument_error("--t-max must not be below --t-min")
     if args.steps == 1:
@@ -202,19 +171,12 @@ def cmd_mgf(args) -> int:
     # Snap roundoff-sized t to zero so the t = 0 row is exactly 1.
     snap = 1e-12 * max(1.0, abs(args.t_min), abs(args.t_max))
     grid = [0.0 if abs(t) < snap else t for t in grid]
-    points = [MgfPoint(t=t, y=args.y, value=mgf(t, args.y, args.q)) for t in grid]
-    if args.format == "json":
-        _emit_json(
-            {
-                "q": args.q,
-                "y": args.y,
-                "points": [{"t": p.t, "value": p.value} for p in points],
-            }
-        )
-    else:
-        print("t,value")
-        for p in points:
-            print(f"{_fmt(p.t)},{_fmt(p.value)}")
+    doc = {
+        "q": args.q,
+        "y": args.y,
+        "points": [{"t": t, "value": mgf(t, args.y, args.q)} for t in grid],
+    }
+    _emit(doc, args.format, "points")
     return 0
 
 
@@ -249,7 +211,7 @@ def cmd_simulate(args) -> int:
         # to be byte-identical for any --workers value.
         doc = {
             "engine": "recursion",
-            "params": {"q": params.q, "lambda": params.lam},
+            "params": _params_doc(params),
             "samples": args.samples,
             "seed": args.seed,
         }
@@ -262,7 +224,7 @@ def cmd_simulate(args) -> int:
             stats = simulate_plane(config)
         doc = {
             "engine": "plane",
-            "params": {"q": params.q, "lambda": params.lam},
+            "params": _params_doc(params),
             "window_width": args.window_w,
             "window_height": args.window_h,
             "margin": args.margin,
@@ -279,7 +241,7 @@ def cmd_simulate(args) -> int:
             "moment_sums": list(stats.moment_sums),
         }
     )
-    _emit_json(doc)
+    _emit(doc, "json")
     return 0
 
 
@@ -288,7 +250,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_validation_report(config: SimConfig) -> ValidationReport:
+def _validation_doc(config: SimConfig) -> dict:
     params = config.params
     q = params.q
     closed = closed_moments(params, orders=(1, 2, 3, 4))
@@ -307,14 +269,14 @@ def _build_validation_report(config: SimConfig) -> ValidationReport:
                 <= _CLOSED_VS_MGF_TOL[order] * abs(closed_value)
             )
         rows.append(
-            ValidationRow(
-                order=order,
-                closed_value=closed_value,
-                mgf_value=mgf_value,
-                mc_value=mc_value,
-                mc_std_error=mc_se,
-                agreement=ok,
-            )
+            {
+                "order": order,
+                "closed_value": closed_value,
+                "mgf_value": mgf_value,
+                "mc_value": mc_value,
+                "mc_std_error": mc_se,
+                "agreement": ok,
+            }
         )
     # The ODE score is normalized by max(1, |M|): near the divergence
     # abscissa t*(q) the MGF branch is huge and the absolute h^2 truncation
@@ -333,71 +295,39 @@ def _build_validation_report(config: SimConfig) -> ValidationReport:
             for t in (-2.0 + 0.1 * i for i in range(41))
         )
     ok = (
-        all(row.agreement for row in rows)
+        all(row["agreement"] for row in rows)
         and ode_max < RESIDUAL_TOL
         and ie_max < RESIDUAL_TOL
         and (special is None or special < _SPECIAL_HALF_TOL)
     )
-    return ValidationReport(
-        params=params,
-        rows=tuple(rows),
-        ode_residual_max=ode_max,
-        ie_residual_max=ie_max,
-        special_half_max_diff=special,
-        residual_tol=RESIDUAL_TOL,
-        verdict="pass" if ok else "fail",
-    )
+    return {
+        "params": _params_doc(params),
+        "rows": rows,
+        "ode_residual_max": ode_max,
+        "ie_residual_max": ie_max,
+        "special_half_max_diff": special,
+        "residual_tol": RESIDUAL_TOL,
+        "verdict": "pass" if ok else "fail",
+    }
 
 
-def _print_validation(report: ValidationReport, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(
-            {
-                "params": {"q": report.params.q, "lambda": report.params.lam},
-                "rows": [
-                    {
-                        "order": row.order,
-                        "closed_value": row.closed_value,
-                        "mgf_value": row.mgf_value,
-                        "mc_value": row.mc_value,
-                        "mc_std_error": row.mc_std_error,
-                        "agreement": row.agreement,
-                    }
-                    for row in report.rows
-                ],
-                "ode_residual_max": report.ode_residual_max,
-                "ie_residual_max": report.ie_residual_max,
-                "special_half_max_diff": report.special_half_max_diff,
-                "residual_tol": report.residual_tol,
-                "verdict": report.verdict,
-            }
-        )
-        return
-    if fmt == "csv":
-        print("order,closed_value,mgf_value,mc_value,mc_std_error,agreement")
-        for row in report.rows:
-            closed = _fmt(row.closed_value) if row.closed_value is not None else ""
-            print(
-                f"{row.order},{closed},{_fmt(row.mgf_value)},{_fmt(row.mc_value)},"
-                f"{_fmt(row.mc_std_error)},{str(row.agreement).lower()}"
-            )
-        return
+def _validation_table(doc: dict) -> None:
     print(
         f"{'order':>5}  {'closed':<20}  {'mgf-derivative':<20}  "
         f"{'monte-carlo':<20}  {'mc std err':<12}  agree"
     )
-    for row in report.rows:
-        closed = _fmt(row.closed_value) if row.closed_value is not None else "-"
+    for row in doc["rows"]:
+        closed = _fmt(row["closed_value"]) if row["closed_value"] is not None else "-"
         print(
-            f"{row.order:>5}  {closed:<20.20}  {_fmt(row.mgf_value):<20.20}  "
-            f"{_fmt(row.mc_value):<20.20}  {row.mc_std_error:<12.4e}  "
-            f"{'yes' if row.agreement else 'NO'}"
+            f"{row['order']:>5}  {closed:<20.20}  {_fmt(row['mgf_value']):<20.20}  "
+            f"{_fmt(row['mc_value']):<20.20}  {row['mc_std_error']:<12.4e}  "
+            f"{'yes' if row['agreement'] else 'NO'}"
         )
-    print(f"max |ODE residual|           : {report.ode_residual_max:.3e}")
-    print(f"max |integral-eq residual|   : {report.ie_residual_max:.3e}")
-    if report.special_half_max_diff is not None:
-        print(f"max |q=1/2 special-form diff|: {report.special_half_max_diff:.3e}")
-    print(f"verdict: {report.verdict}")
+    print(f"max |ODE residual|           : {doc['ode_residual_max']:.3e}")
+    print(f"max |integral-eq residual|   : {doc['ie_residual_max']:.3e}")
+    if doc["special_half_max_diff"] is not None:
+        print(f"max |q=1/2 special-form diff|: {doc['special_half_max_diff']:.3e}")
+    print(f"verdict: {doc['verdict']}")
 
 
 def cmd_validate(args) -> int:
@@ -416,9 +346,9 @@ def cmd_validate(args) -> int:
             file=sys.stderr,
         )
         return 3
-    report = _build_validation_report(config)
-    _print_validation(report, args.format)
-    return 0 if report.verdict == "pass" else 1
+    doc = _validation_doc(config)
+    _emit(doc, args.format, "rows", _validation_table)
+    return 0 if doc["verdict"] == "pass" else 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Two independent stochastic oracles for terminal ray length.
 
-The first (`sample_ray_length`, `run_monte_carlo`) draws exact lengths
+The first (`draw_samples`, `run_monte_carlo`) draws exact lengths
 through the stopping-set recursion: grow a trapezoid of left height y into
 the live zone until its exponentially distributed area is exhausted, stop
 with probability 1-q (the blocking seed is a south ray), otherwise restart
@@ -28,14 +28,12 @@ from .analytic import ModelParams
 __all__ = [
     "CHUNK_SIZE",
     "PlaneConfig",
-    "RecursionState",
     "SimConfig",
     "SimStats",
     "draw_samples",
     "empirical_mgf",
     "plane_lengths",
     "run_monte_carlo",
-    "sample_ray_length",
     "simulate_plane",
     "stats_from_lengths",
 ]
@@ -51,18 +49,6 @@ _PLANE_STREAM_TAG = 0x504C414E45
 _MAX_SEED = 2**64
 
 _N_MOMENTS = 6
-
-
-@dataclass(frozen=True)
-class RecursionState:
-    """Live-zone left-boundary height and horizontal distance covered."""
-
-    y: float = 0.0
-    x_accum: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.y < 0.0 or self.x_accum < 0.0:
-            raise ValueError("RecursionState fields must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -92,7 +78,9 @@ class PlaneConfig:
     def __post_init__(self) -> None:
         if not (self.window_width > 0.0 and self.window_height > 0.0):
             raise ValueError("window dimensions must be positive")
-        if self.margin < 0.0:
+        if not (math.isfinite(self.window_width) and math.isfinite(self.window_height)):
+            raise ValueError("window dimensions must be finite")
+        if not self.margin >= 0.0:  # also refuses NaN
             raise ValueError("margin must be nonnegative")
         if self.margin >= 0.5 * min(self.window_width, self.window_height):
             raise ValueError(
@@ -125,29 +113,6 @@ class SimStats:
     censored_warning: bool = False
 
 
-def sample_ray_length(params: ModelParams, rng) -> float:
-    """Draw one exact terminal ray length via the stopping-set recursion.
-
-    Per hop, in this order: E ~ rng.exponential() gives the stopping-set
-    area scaled by the intensity, so the base length solves
-    lam (r^2/2 + r y) = E, i.e. r = -y + sqrt(y^2 + 2 E / lam); a mark draw
-    rng.random() < q keeps the recursion going (H seed), otherwise the ray
-    ends at x_accum + r; for an H stop the new left boundary height is
-    rng.uniform(0, r + y).  Terminates almost surely since every hop ends
-    with probability 1 - q > 0.
-    """
-    q = params.q
-    lam = params.lam
-    state = RecursionState()
-    while True:
-        area = rng.exponential()
-        r = -state.y + math.sqrt(state.y * state.y + 2.0 * area / lam)
-        if rng.random() >= q:
-            return state.x_accum + r
-        height = rng.uniform(0.0, r + state.y)
-        state = RecursionState(y=height, x_accum=state.x_accum + r)
-
-
 def _chunk_generator(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -156,9 +121,16 @@ def _chunk_generator(seed: int, index: int) -> np.random.Generator:
 def _sample_chunk(q: float, lam: float, seed: int, index: int, count: int) -> np.ndarray:
     """Vectorised stopping-set recursion for one chunk.
 
-    Same hop law as sample_ray_length, batched: each round draws areas for
-    all still-running rays, then marks, then (for the continuing subset)
-    the new boundary heights.
+    Hop law, per ray starting from y = x_accum = 0: E ~ Exp(1) is the
+    stopping-set area scaled by the intensity, so the base length solves
+    lam (r^2/2 + r y) = E, i.e. r = -y + sqrt(y^2 + 2 E / lam); a mark
+    u < q keeps the recursion going (H seed), otherwise the ray ends at
+    x_accum + r; for an H stop the new left boundary height is uniform on
+    (0, r + y).  Terminates almost surely since every hop ends with
+    probability 1 - q > 0.  Each round draws areas for all still-running
+    rays, then marks, then (for the continuing subset) the new heights, so
+    a one-ray chunk consumes the stream in the same order as the scalar
+    reference in the test suite.
     """
     rng = _chunk_generator(seed, index)
     y = np.zeros(count)

@@ -35,7 +35,7 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(q=q)
 
-    @pytest.mark.parametrize("lam", [0.0, -2.0])
+    @pytest.mark.parametrize("lam", [0.0, -2.0, math.inf])
     def test_lam_rejected(self, lam):
         with pytest.raises(ValueError):
             ModelParams(q=0.4, lam=lam)

@@ -177,6 +177,15 @@ class TestArgumentErrors:
             ("moments", "--q", "0.4", "--lambda", "nan"),
             ("validate", "--q", "0.4", "--samples", "10", "--seed", "-1"),
             ("validate", "--q", "0.4", "--samples", "10", "--seed", str(2**64)),
+            ("moments", "--q", "0.4", "--lambda", "inf"),
+            ("simulate", "--q", "0.4", "--samples", "1000", "--lambda", "inf"),
+            ("simulate", "--q", "0.4", "--engine", "plane", "--lambda", "inf"),
+            ("simulate", "--q", "0.4", "--engine", "plane", "--window-w", "inf"),
+            ("simulate", "--q", "0.4", "--engine", "plane", "--window-w", "40",
+             "--window-h", "40", "--margin", "nan"),
+            ("mgf", "--q", "0.4", "--y", "nan"),
+            ("mgf", "--q", "0.4", "--t-min", "nan"),
+            ("mgf", "--q", "0.4", "--t-max", "inf"),
         ],
     )
     def test_out_of_range_value_exits_2(self, argv, capsys):

@@ -10,6 +10,27 @@ from halfgilbert import montecarlo as mc
 from halfgilbert.analytic import ModelParams
 
 
+def sample_ray_length(params, rng) -> float:
+    """Scalar reference of the stopping-set hop law: one exact terminal
+    ray length.
+
+    Per hop, in this order: E ~ rng.exponential() gives the stopping-set
+    area scaled by the intensity, so the base length solves
+    lam (r^2/2 + r y) = E, i.e. r = -y + sqrt(y^2 + 2 E / lam); a mark draw
+    rng.random() < q keeps the recursion going (H seed), otherwise the ray
+    ends at x_accum + r; for an H stop the new left boundary height is
+    rng.uniform(0, r + y).  The production sampler batches the same law
+    over a chunk; `test_reference_matches_production_sampler` ties the two.
+    """
+    y = x_accum = 0.0
+    while True:
+        area = rng.exponential()
+        r = -y + math.sqrt(y * y + 2.0 * area / params.lam)
+        if rng.random() >= params.q:
+            return x_accum + r
+        y, x_accum = rng.uniform(0.0, r + y), x_accum + r
+
+
 class ScriptedRng:
     """Feeds a fixed draw sequence to sample_ray_length.
 
@@ -58,18 +79,32 @@ class TestRecursionSampler:
     def test_single_hop(self):
         # first seed is V-type: L = r = sqrt(2 E) from y = 0
         rng = ScriptedRng(exps=[0.5], marks=[0.99])
-        assert mc.sample_ray_length(ModelParams(q=0.4), rng) == 1.0
+        assert sample_ray_length(ModelParams(q=0.4), rng) == 1.0
 
     def test_two_hops(self):
         # H stop at r1 = 1 with height 0.5, then V stop:
         # r2 = -0.5 + sqrt(0.25 + 0.75) = 0.5, so L = 1.5
         rng = ScriptedRng(exps=[0.5, 0.375], marks=[0.1, 0.99], heights=[0.5])
-        assert mc.sample_ray_length(ModelParams(q=0.4), rng) == 1.5
+        assert sample_ray_length(ModelParams(q=0.4), rng) == 1.5
 
     def test_intensity_enters_area_inversion(self):
         rng = ScriptedRng(exps=[0.5], marks=[0.99])
-        got = mc.sample_ray_length(ModelParams(q=0.4, lam=4.0), rng)
+        got = sample_ray_length(ModelParams(q=0.4, lam=4.0), rng)
         assert got == 0.5
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+    def test_reference_matches_production_sampler(self, q, lam):
+        # a one-sample run is chunk 0, keyed (seed, 0), with one ray: its
+        # draws come in the scalar reference's order, so the two must agree
+        # bit for bit
+        params = ModelParams(q=q, lam=lam)
+        for seed in [*range(200), 2**64 - 1]:
+            rng = np.random.Generator(
+                np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+            )
+            config = mc.SimConfig(params=params, samples=1, seed=seed)
+            assert mc.draw_samples(config)[0] == sample_ray_length(params, rng), seed
 
     def test_rayleigh_regime(self):
         stats = mc.run_monte_carlo(
@@ -83,7 +118,7 @@ class TestRecursionSampler:
         rng = CountingRng(9)
         n = 100_000
         for _ in range(n):
-            mc.sample_ray_length(params, rng)
+            sample_ray_length(params, rng)
         expected = 1.0 / 0.6
         spread = math.sqrt(0.4) / 0.6 / math.sqrt(n)
         assert rng.hops / n <= expected + 3.0 * spread
@@ -156,11 +191,6 @@ class TestRunMonteCarlo:
             mc.SimConfig(params=ModelParams(q=0.4), samples=10, seed=-1)
         with pytest.raises(ValueError):
             mc.SimConfig(params=ModelParams(q=0.4), samples=10, seed=1, workers=0)
-
-    def test_recursion_state_invariants(self):
-        mc.RecursionState(y=0.0, x_accum=0.0)
-        with pytest.raises(ValueError):
-            mc.RecursionState(y=-0.1, x_accum=0.0)
 
 
 class TestEmpiricalMgf:
