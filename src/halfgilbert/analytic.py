@@ -19,6 +19,10 @@ divided by sqrt(lam).
 Two residual probes (`ode_residual`, `integral_equation_residual`) tie the
 implementation back to the equations that define it and are used by the
 test suite and the validation report.
+
+c(t) depends on t alone, so M_t(.) at one t is a y-slice that shares one
+c(t) across every y: the residual probes evaluate many y per t through one
+slice, and `mgf_moments` evaluates each distinct stencil node once.
 """
 
 from __future__ import annotations
@@ -256,6 +260,21 @@ def mgf_divergence_point(q: float, resolution: float = 1e-9) -> float:
     return 0.5 * (lo + hi)
 
 
+def _mgf_in_y(t: float, q: float):
+    """The slice y -> M_t(y) at fixed t and q, with c(t) computed once.
+
+    The caller has checked t and q and checks each y.
+    """
+    if t == 0.0:
+        return lambda y: 1.0
+    # The defining ODE's general solution also carries an even 1F1 branch;
+    # its coefficient is identically zero because that branch grows like
+    # exp((y-t)^2/2) while M_t(y) -> 1 as y -> inf, so only the Hermite
+    # branch appears here.
+    c = c_coefficient(t, q)
+    return lambda y: 1.0 + c * _hermite_laplace(q - 1.0, (y - t) / _SQRT2)
+
+
 def mgf(t: float, y: float, q: float) -> float:
     """Moment generating function M_t(y) of the remaining horizontal distance.
 
@@ -270,13 +289,7 @@ def mgf(t: float, y: float, q: float) -> float:
     y = float(y)
     if not y >= 0.0:
         raise DomainError(f"y must be nonnegative, got {y!r}")
-    if t == 0.0:
-        return 1.0
-    # The defining ODE's general solution also carries an even 1F1 branch;
-    # its coefficient is identically zero because that branch grows like
-    # exp((y-t)^2/2) while M_t(y) -> 1 as y -> inf, so only the Hermite
-    # branch appears here.
-    return 1.0 + c_coefficient(t, q) * _hermite_laplace(q - 1.0, (y - t) / _SQRT2)
+    return _mgf_in_y(t, q)(y)
 
 
 def mgf_special_half(t: float) -> float:
@@ -412,14 +425,19 @@ def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
 
     Derivatives are taken numerically (central stencils plus Richardson
     extrapolation), so this path is independent of the closed-form moment
-    expressions and works to order 6.
+    expressions and works to order 6.  Stencil nodes of different orders
+    and levels coincide (2 h_i = h_{i-1} exactly), and each distinct node
+    is evaluated once per call.
     """
     if not 1 <= max_order <= 6:
         raise ValueError(f"max_order must lie in [1, 6], got {max_order!r}")
     q = params.q
+    values: dict[float, float] = {}
 
     def f(t: float) -> float:
-        return mgf(t, 0.0, q)
+        if t not in values:
+            values[t] = mgf(t, 0.0, q)
+        return values[t]
 
     # The widest stencil reaches 3h, which must stay clear of the MGF pole
     # at t*(q) (0.13 at q = 0.9) or the difference quotients sample the
@@ -460,9 +478,10 @@ def ode_residual(t: float, y: float, q: float, h: float) -> float:
         raise DomainError(f"h must be positive, got {h!r}")
     if not y >= h:
         raise DomainError(f"need y >= h for the central stencil, got y={y!r}, h={h!r}")
-    m0 = mgf(t, y, q)
-    mp = mgf(t, y + h, q)
-    mm = mgf(t, y - h, q)
+    m = _mgf_in_y(_check_t(t), _check_q(q))
+    m0 = m(y)
+    mp = m(y + h)
+    mm = m(y - h)
     d2 = (mp - 2.0 * m0 + mm) / (h * h)
     d1 = (mp - mm) / (2.0 * h)
     return d2 - (y - t) * d1 - (1.0 - q) * m0 + (1.0 - q)
@@ -482,12 +501,11 @@ def integral_equation_residual(t: float, q: float) -> float:
     """
     t = _check_t(t)
     q = _check_q(q)
+    m = _mgf_in_y(t, q)
     upper = t + 9.0
-    integral = adaptive_quad(
-        lambda u: erfc_fn((u - t) / _SQRT2) * mgf(t, u, q), 0.0, upper
-    )
+    integral = adaptive_quad(lambda u: erfc_fn((u - t) / _SQRT2) * m(u), 0.0, upper)
     growth = math.exp(0.5 * t * t)
     rhs = (1.0 - q) * (
         1.0 + _SQRT_PI_OVER_2 * t * growth * erfc_fn(-t / _SQRT2)
     ) + q * growth * _SQRT_PI_OVER_2 * integral
-    return mgf(t, 0.0, q) - rhs
+    return m(0.0) - rhs

@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from halfgilbert import analytic as an
+from halfgilbert import cli
 from halfgilbert.analytic import ModelParams, MomentEntry, _richardson_derivative
 from halfgilbert.errors import DenominatorError, DomainError, ExtrapolationError
-from halfgilbert.specfun import erfc_fn, hermite_fn
+from halfgilbert.specfun import adaptive_quad, erfc_fn, hermite_fn
 
 SQRT2 = math.sqrt(2.0)
 
@@ -306,6 +307,96 @@ class TestResiduals:
             for q in (0.25, 0.4, 0.75)
         )
         assert worst < 1e-6
+
+# References on the per-call path: one mgf(t, y, q) call, and so one c(t),
+# per evaluated point.  Production shares c(t) across y and evaluates each
+# stencil node once, and must give the same floats.
+
+
+def ode_residual_reference(t, y, q, h):
+    m0 = an.mgf(t, y, q)
+    mp = an.mgf(t, y + h, q)
+    mm = an.mgf(t, y - h, q)
+    d2 = (mp - 2.0 * m0 + mm) / (h * h)
+    d1 = (mp - mm) / (2.0 * h)
+    return d2 - (y - t) * d1 - (1.0 - q) * m0 + (1.0 - q)
+
+
+def integral_equation_residual_reference(t, q):
+    integral = adaptive_quad(
+        lambda u: erfc_fn((u - t) / SQRT2) * an.mgf(t, u, q), 0.0, t + 9.0
+    )
+    growth = math.exp(0.5 * t * t)
+    half_pi = math.sqrt(0.5 * math.pi)
+    rhs = (1.0 - q) * (1.0 + half_pi * t * growth * erfc_fn(-t / SQRT2)) + (
+        q * growth * half_pi * integral
+    )
+    return an.mgf(t, 0.0, q) - rhs
+
+
+def mgf_moments_reference(q, max_order):
+    base_step = 0.1
+    t_star = an.mgf_divergence_point(q, resolution=1e-6)
+    if math.isfinite(t_star) and 3.0 * base_step > 0.7 * t_star:
+        base_step = 0.7 * t_star / 3.0
+    return [
+        _richardson_derivative(lambda t: an.mgf(t, 0.0, q), k, base_step)
+        for k in range(1, max_order + 1)
+    ]
+
+
+class TestOneCoefficientPerT:
+    @pytest.fixture
+    def c_calls(self, monkeypatch):
+        calls = []
+        original = an.c_coefficient
+
+        def counted(t, q):
+            calls.append(t)
+            return original(t, q)
+
+        monkeypatch.setattr(an, "c_coefficient", counted)
+        return calls
+
+    def test_mgf_checks_y_before_computing_c(self, c_calls):
+        with pytest.raises(DomainError):
+            an.mgf(0.5, -0.1, 0.4)
+        assert c_calls == []
+
+    def test_integral_equation_residual_computes_c_once(self, c_calls):
+        an.integral_equation_residual(1.0, 0.4)
+        assert c_calls == [1.0]
+
+    @pytest.mark.parametrize("t,expected", [(-1.0, 1), (2.0, 1), (0.0, 0)])
+    def test_ode_residual_computes_c_once(self, c_calls, t, expected):
+        an.ode_residual(t, 1.0, 0.4, 1e-3)
+        assert len(c_calls) == expected
+
+    def test_mgf_moments_computes_c_once_per_distinct_node(self, c_calls):
+        # offsets +-1, +-2, +-3 on four halving levels give 18 distinct
+        # nonzero nodes; t = 0 needs no c
+        an.mgf_moments(ModelParams(q=0.4), max_order=6)
+        assert len(c_calls) == 18
+        assert len(set(c_calls)) == 18
+
+    @pytest.mark.parametrize("q", [0.05, 0.4, 0.9, 0.95])
+    def test_mgf_moments_bit_identical_to_per_call_path(self, q):
+        report = an.mgf_moments(ModelParams(q=q), max_order=6)
+        for k, (value, uncertainty) in enumerate(mgf_moments_reference(q, 6), 1):
+            assert report.value(k) == value
+            assert report.std_error(k) == uncertainty
+
+    @pytest.mark.parametrize("q", [0.05, 0.4, 0.9, 0.95])
+    def test_residuals_bit_identical_to_per_call_path(self, q):
+        for t in cli._ODE_T_GRID:
+            for y in cli._ODE_Y_GRID:
+                assert an.ode_residual(t, y, q, cli._ODE_STEP) == ode_residual_reference(
+                    t, y, q, cli._ODE_STEP
+                )
+        for t in cli._IE_T_GRID:
+            assert an.integral_equation_residual(
+                t, q
+            ) == integral_equation_residual_reference(t, q)
 
 
 class TestReportTypes:

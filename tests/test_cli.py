@@ -91,6 +91,17 @@ class TestMgfCurve:
         )
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("y", ["150", "1e308"])
+    def test_large_y_exits_3(self, y, capsys):
+        # (y - t)/sqrt(2) > 20 lies past the accurate range of the Hermite
+        # evaluator; these printed M = -81968 and nan with exit 0
+        argv = ["mgf", "--q", "0.4", "--y", y, "--t-min", "-1", "--t-max", "1",
+                "--steps", "3"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical-domain error")
+
     def test_json_is_well_formed(self):
         result = run_cli("mgf", "--q", "0.4", "--steps", "5", "--format", "json")
         doc = json.loads(result.stdout)

@@ -19,6 +19,9 @@ ERFC_1 = 0.15729920705028513066
 KUMMER_M025_05_0125 = 0.93548848045908709051  # 1F1(-1/4; 1/2; 0.125)
 HERMITE_M06_AT_0 = 1.0044267253178584191  # 2^-0.6 sqrt(pi) / Gamma(0.8)
 HERMITE_M06_AT_09 = 0.59690445652201398518
+# H_v(20) from a 40-digit offline evaluation, at the Laplace route's z bound.
+HERMITE_M06_AT_20 = 0.1092707965331408092640947
+HERMITE_M095_AT_20 = 0.0300290579004510807459975
 
 
 def rel(a, b):
@@ -192,6 +195,16 @@ class TestHermite:
                 b = sf.hermite_fn(v, z)
                 assert abs(a - b) <= 1e-9 * (1.0 + abs(a)), (v, z)
         assert rel(sf._hermite_laplace(-0.6, 0.9), HERMITE_M06_AT_09) < 1e-12
+
+    def test_laplace_route_at_its_z_bound(self):
+        assert rel(sf._hermite_laplace(-0.6, 20.0), HERMITE_M06_AT_20) < 1e-12
+        assert rel(sf._hermite_laplace(-0.95, 20.0), HERMITE_M095_AT_20) < 1e-12
+
+    @pytest.mark.parametrize("z", [20.5, 1e300])
+    def test_laplace_route_refuses_large_z(self, z):
+        # past z = 20 its head series cancels into wrong digits
+        with pytest.raises(DomainError):
+            sf._hermite_laplace(-0.6, z)
 
 
 class TestAdaptiveQuad:
