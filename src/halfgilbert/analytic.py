@@ -467,8 +467,9 @@ def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
 # ---------------------------------------------------------------------------
 
 
-def ode_residual(t: float, y: float, q: float, h: float) -> float:
-    """Residual of M'' - (y - t) M' - (1 - q) M = -(1 - q) in y.
+def ode_residual(t: float, y: float, q: float, h: float) -> tuple[float, float]:
+    """(residual, M_t(y)): the residual of M'' - (y - t) M' - (1 - q) M =
+    -(1 - q) in y, and the value of M_t(y) it used.
 
     Derivatives are central differences with step h, so the expected
     magnitude for a correct MGF is the h^2 truncation error.  Requires
@@ -484,7 +485,7 @@ def ode_residual(t: float, y: float, q: float, h: float) -> float:
     mm = m(y - h)
     d2 = (mp - 2.0 * m0 + mm) / (h * h)
     d1 = (mp - mm) / (2.0 * h)
-    return d2 - (y - t) * d1 - (1.0 - q) * m0 + (1.0 - q)
+    return d2 - (y - t) * d1 - (1.0 - q) * m0 + (1.0 - q), m0
 
 
 def integral_equation_residual(t: float, q: float) -> float:

@@ -282,11 +282,8 @@ def _validation_doc(config: SimConfig) -> dict:
     # abscissa t*(q) the MGF branch is huge and the absolute h^2 truncation
     # error of the probe scales with it, which says nothing about
     # correctness.
-    ode_max = max(
-        abs(ode_residual(t, y, q, _ODE_STEP)) / max(1.0, abs(mgf(t, y, q)))
-        for t in _ODE_T_GRID
-        for y in _ODE_Y_GRID
-    )
+    ode = [ode_residual(t, y, q, _ODE_STEP) for t in _ODE_T_GRID for y in _ODE_Y_GRID]
+    ode_max = max(abs(residual) / max(1.0, abs(m)) for residual, m in ode)
     ie_max = max(abs(integral_equation_residual(t, q)) for t in _IE_T_GRID)
     special = None
     if q == 0.5:

@@ -259,65 +259,33 @@ def _resolve_blockings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stop distances for interacting east and south rays.
 
-    An east ray from (x0, y0) and a south ray from (a, b) with a > x0 and
-    b > y0 cross at (a, y0); the east tip passes at time a - x0, the south
-    tip at b - y0.  The later tip stops there iff the earlier ray still
-    covered the crossing when its own tip passed (it was not stopped
-    strictly before it); simultaneous arrival stops both.  Events are
-    processed in increasing later-arrival time, which makes every lookup
-    refer to already-settled history.  Returns stop distances, inf for
-    rays that are never blocked.
+    East ray i from (x0, y0) and south ray j from (a, b) with a > x0 and
+    b > y0 cross at (a, y0); the east tip passes at time de = a - x0, the
+    south tip at ds = b - y0.  The later tip stops there iff its blocker
+    covered the crossing (was not stopped strictly before it):
+
+        south j stops at ds iff de <= ds, stop_s[j] > ds, stop_e[i] >= de
+        east i stops at de  iff ds <= de, stop_e[i] > de, stop_s[j] >= ds
+
+    Both are read before either stop is written, so a tie stops each ray
+    whose blocker covered the crossing.  Events are processed in
+    increasing later-arrival time, so every lookup refers to settled
+    history.  Returns stop distances, inf for rays never blocked.
     """
-    n_east = east_x.size
-    n_south = south_x.size
-    stop_e = [math.inf] * n_east
-    stop_s = [math.inf] * n_south
-    if n_east == 0 or n_south == 0:
-        return np.array(stop_e), np.array(stop_s)
-
-    pair_e = []
-    pair_s = []
-    d_e_parts = []
-    d_s_parts = []
-    block = max(1, int(2**22 // max(n_south, 1)))
-    for start in range(0, n_east, block):
-        end = min(start + block, n_east)
-        ex = east_x[start:end, None]
-        ey = east_y[start:end, None]
-        hit = (south_x[None, :] > ex) & (south_y[None, :] > ey)
-        ii, jj = np.nonzero(hit)
-        pair_e.append(ii + start)
-        pair_s.append(jj)
-        d_e_parts.append(south_x[jj] - east_x[ii + start])
-        d_s_parts.append(south_y[jj] - east_y[ii + start])
-    e_idx = np.concatenate(pair_e)
-    s_idx = np.concatenate(pair_s)
-    d_e = np.concatenate(d_e_parts)
-    d_s = np.concatenate(d_s_parts)
-    t_event = np.maximum(d_e, d_s)
+    ii, jj = np.nonzero((south_x > east_x[:, None]) & (south_y > east_y[:, None]))
+    d_e = south_x[jj] - east_x[ii]
+    d_s = south_y[jj] - east_y[ii]
     # Deterministic order: time, then tie-break on distances and indices.
-    order = np.lexsort((s_idx, e_idx, d_s, d_e, t_event))
-
-    e_list = e_idx[order].tolist()
-    s_list = s_idx[order].tolist()
-    de_list = d_e[order].tolist()
-    ds_list = d_s[order].tolist()
-    for i, j, de, ds in zip(e_list, s_list, de_list, ds_list):
-        if de < ds:
-            if stop_s[j] > ds and stop_e[i] >= de:
-                stop_s[j] = ds
-        elif ds < de:
-            if stop_e[i] > de and stop_s[j] >= ds:
-                stop_e[i] = de
-        else:
-            covered_e = stop_e[i] >= de
-            covered_s = stop_s[j] >= ds
-            hit_s = covered_e and stop_s[j] > ds
-            hit_e = covered_s and stop_e[i] > de
-            if hit_s:
-                stop_s[j] = ds
-            if hit_e:
-                stop_e[i] = de
+    order = np.lexsort((jj, ii, d_s, d_e, np.maximum(d_e, d_s)))
+    stop_e = [math.inf] * east_x.size
+    stop_s = [math.inf] * south_x.size
+    for i, j, de, ds in zip(*(a[order].tolist() for a in (ii, jj, d_e, d_s))):
+        hit_s = de <= ds and stop_s[j] > ds and stop_e[i] >= de
+        hit_e = ds <= de and stop_e[i] > de and stop_s[j] >= ds
+        if hit_s:
+            stop_s[j] = ds
+        if hit_e:
+            stop_e[i] = de
     return np.array(stop_e), np.array(stop_s)
 
 

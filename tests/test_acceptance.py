@@ -95,7 +95,7 @@ def test_criterion_3_special_half_agreement():
 
 def test_criterion_4_defining_equation_residuals():
     ode_worst = max(
-        abs(an.ode_residual(t, y, q, 1e-3))
+        abs(an.ode_residual(t, y, q, 1e-3)[0])
         for t in (-2.0, -1.0, 0.0, 1.0, 2.0)
         for y in (0.5, 1.0, 3.0)
         for q in (0.3, 0.5, 0.7)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from halfgilbert import analytic as an
 from halfgilbert import cli
+from halfgilbert import montecarlo as mc
 from halfgilbert.analytic import ModelParams, MomentEntry, _richardson_derivative
 from halfgilbert.errors import DenominatorError, DomainError, ExtrapolationError
 from halfgilbert.specfun import adaptive_quad, erfc_fn, hermite_fn
@@ -271,15 +272,15 @@ class TestMgfMoments:
 
 class TestResiduals:
     def test_ode_examples(self):
-        assert abs(an.ode_residual(1.0, 2.0, 0.4, 1e-3)) < 1e-5
-        assert abs(an.ode_residual(-1.2, 0.5, 0.7, 1e-3)) < 1e-5
+        assert abs(an.ode_residual(1.0, 2.0, 0.4, 1e-3)[0]) < 1e-5
+        assert abs(an.ode_residual(-1.2, 0.5, 0.7, 1e-3)[0]) < 1e-5
 
     def test_ode_trivial_at_zero(self):
-        assert an.ode_residual(0.0, 1.5, 0.3, 1e-3) == 0.0
+        assert an.ode_residual(0.0, 1.5, 0.3, 1e-3)[0] == 0.0
 
     def test_ode_grid(self):
         worst = max(
-            abs(an.ode_residual(t, y, q, 1e-3))
+            abs(an.ode_residual(t, y, q, 1e-3)[0])
             for t in (-2.0, -1.0, 0.0, 1.0, 2.0)
             for y in (0.5, 1.0, 3.0)
             for q in (0.3, 0.5, 0.7)
@@ -379,6 +380,13 @@ class TestOneCoefficientPerT:
         assert len(c_calls) == 18
         assert len(set(c_calls)) == 18
 
+    def test_validation_reuses_the_ode_probes_m(self, c_calls):
+        # 18 stencil nodes, 12 ODE points and 4 integral-equation t; the
+        # ODE normaliser reads the M_t(y) its probe computed
+        config = mc.SimConfig(params=ModelParams(q=0.4), samples=2_000, seed=1)
+        cli._validation_doc(config)
+        assert len(c_calls) == 34
+
     @pytest.mark.parametrize("q", [0.05, 0.4, 0.9, 0.95])
     def test_mgf_moments_bit_identical_to_per_call_path(self, q):
         report = an.mgf_moments(ModelParams(q=q), max_order=6)
@@ -390,9 +398,9 @@ class TestOneCoefficientPerT:
     def test_residuals_bit_identical_to_per_call_path(self, q):
         for t in cli._ODE_T_GRID:
             for y in cli._ODE_Y_GRID:
-                assert an.ode_residual(t, y, q, cli._ODE_STEP) == ode_residual_reference(
-                    t, y, q, cli._ODE_STEP
-                )
+                residual, m = an.ode_residual(t, y, q, cli._ODE_STEP)
+                assert residual == ode_residual_reference(t, y, q, cli._ODE_STEP)
+                assert m == an.mgf(t, y, q)
         for t in cli._IE_T_GRID:
             assert an.integral_equation_residual(
                 t, q

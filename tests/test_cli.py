@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from halfgilbert import cli, montecarlo
-from halfgilbert.analytic import mgf_special_half
+from halfgilbert.analytic import ModelParams, mgf_special_half
+from test_montecarlo import resolve_blockings_reference
 
 
 def run_cli(*args):
@@ -171,6 +172,25 @@ class TestSimulate:
         values = np.loadtxt(dump)
         assert values.size == doc["n"] > 0
         assert abs(values.mean() - doc["mean"]) < 1e-12
+
+    def test_plane_dump_matches_reference_resolver(self, tmp_path, monkeypatch):
+        dump = tmp_path / "lengths.txt"
+        code = cli.main([
+            "simulate", "--q", "0.45", "--engine", "plane", "--window-w", "30",
+            "--window-h", "30", "--margin", "8", "--seed", "4", "--dump", str(dump),
+        ])
+        assert code == 0
+        monkeypatch.setattr(montecarlo, "_resolve_blockings", resolve_blockings_reference)
+        config = montecarlo.PlaneConfig(
+            params=ModelParams(q=0.45),
+            window_width=30.0,
+            window_height=30.0,
+            margin=8.0,
+            seed=4,
+        )
+        lengths, _ = montecarlo.plane_lengths(config)
+        assert lengths.size > 0
+        assert dump.read_bytes() == "".join("%.17g\n" % v for v in lengths).encode()
 
 
 class TestArgumentErrors:

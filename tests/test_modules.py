@@ -1,0 +1,43 @@
+"""Package layout: modules do not reach into each other's private helpers."""
+
+import ast
+from pathlib import Path
+
+import halfgilbert
+
+PACKAGE = Path(halfgilbert.__file__).resolve().parent
+
+
+def private_cross_module_uses():
+    """(importer, source module, name) for every underscore name a module of
+    the package takes from a sibling, by `from .x import _y` or by
+    `from . import x` followed by `x._y`."""
+    uses = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        uses.add((path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                uses.add((path.stem, node.value.id, node.attr))
+    return uses
+
+
+def test_only_the_traced_laplace_route_crosses_a_module_boundary():
+    # analytic evaluates every MGF value through specfun's Laplace Hermite
+    # route, which the benchmark tracer names by its private name
+    assert private_cross_module_uses() == {
+        ("analytic", "specfun", "_hermite_laplace")
+    }

@@ -31,6 +31,87 @@ def sample_ray_length(params, rng) -> float:
         y, x_accum = rng.uniform(0.0, r + y), x_accum + r
 
 
+# All-pairs plane resolver with the blocking rule written out per case (a
+# later south ray, a later east ray, a tie), built in east-ray blocks.  It
+# is the oracle that montecarlo._resolve_blockings must match bit for bit.
+
+def resolve_blockings_reference(
+    east_x: np.ndarray,
+    east_y: np.ndarray,
+    south_x: np.ndarray,
+    south_y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stop distances for interacting east and south rays.
+
+    An east ray from (x0, y0) and a south ray from (a, b) with a > x0 and
+    b > y0 cross at (a, y0); the east tip passes at time a - x0, the south
+    tip at b - y0.  The later tip stops there iff the earlier ray still
+    covered the crossing when its own tip passed (it was not stopped
+    strictly before it); simultaneous arrival stops both.  Events are
+    processed in increasing later-arrival time, which makes every lookup
+    refer to already-settled history.  Returns stop distances, inf for
+    rays that are never blocked.
+    """
+    n_east = east_x.size
+    n_south = south_x.size
+    stop_e = [math.inf] * n_east
+    stop_s = [math.inf] * n_south
+    if n_east == 0 or n_south == 0:
+        return np.array(stop_e), np.array(stop_s)
+
+    pair_e = []
+    pair_s = []
+    d_e_parts = []
+    d_s_parts = []
+    block = max(1, int(2**22 // max(n_south, 1)))
+    for start in range(0, n_east, block):
+        end = min(start + block, n_east)
+        ex = east_x[start:end, None]
+        ey = east_y[start:end, None]
+        hit = (south_x[None, :] > ex) & (south_y[None, :] > ey)
+        ii, jj = np.nonzero(hit)
+        pair_e.append(ii + start)
+        pair_s.append(jj)
+        d_e_parts.append(south_x[jj] - east_x[ii + start])
+        d_s_parts.append(south_y[jj] - east_y[ii + start])
+    e_idx = np.concatenate(pair_e)
+    s_idx = np.concatenate(pair_s)
+    d_e = np.concatenate(d_e_parts)
+    d_s = np.concatenate(d_s_parts)
+    t_event = np.maximum(d_e, d_s)
+    # Deterministic order: time, then tie-break on distances and indices.
+    order = np.lexsort((s_idx, e_idx, d_s, d_e, t_event))
+
+    e_list = e_idx[order].tolist()
+    s_list = s_idx[order].tolist()
+    de_list = d_e[order].tolist()
+    ds_list = d_s[order].tolist()
+    for i, j, de, ds in zip(e_list, s_list, de_list, ds_list):
+        if de < ds:
+            if stop_s[j] > ds and stop_e[i] >= de:
+                stop_s[j] = ds
+        elif ds < de:
+            if stop_e[i] > de and stop_s[j] >= ds:
+                stop_e[i] = de
+        else:
+            covered_e = stop_e[i] >= de
+            covered_s = stop_s[j] >= ds
+            hit_s = covered_e and stop_s[j] > ds
+            hit_e = covered_s and stop_e[i] > de
+            if hit_s:
+                stop_s[j] = ds
+            if hit_e:
+                stop_e[i] = de
+    return np.array(stop_e), np.array(stop_s)
+
+
+def assert_resolves_like_reference(*rays):
+    stop_e, stop_s = mc._resolve_blockings(*rays)
+    ref_e, ref_s = resolve_blockings_reference(*rays)
+    assert np.array_equal(stop_e, ref_e)
+    assert np.array_equal(stop_s, ref_s)
+
+
 class ScriptedRng:
     """Feeds a fixed draw sequence to sample_ray_length.
 
@@ -240,6 +321,36 @@ class TestPlaneSimulator:
         assert stop_s[0] == 1.5
         assert stop_e[0] == math.inf
         assert stop_e[1] == math.inf
+
+    def test_matches_reference_on_tie_heavy_grids(self):
+        # integer coordinates on a 2..7 grid make equal arrival times, equal
+        # event times and rays through each other's seeds common
+        rng = np.random.default_rng(17)
+        ties = 0
+        for _ in range(2_000):
+            n = int(rng.integers(0, 41))
+            grid = int(rng.integers(2, 8))
+            xs = rng.integers(0, grid, n).astype(float)
+            ys = rng.integers(0, grid, n).astype(float)
+            is_east = rng.random(n) < rng.random()
+            rays = (xs[is_east], ys[is_east], xs[~is_east], ys[~is_east])
+            assert_resolves_like_reference(*rays)
+            ex, ey, sx, sy = rays
+            crossing = (sx > ex[:, None]) & (sy > ey[:, None])
+            ties += bool(np.any(crossing & (sx - ex[:, None] == sy - ey[:, None])))
+        assert ties > 500
+
+    @pytest.mark.parametrize(
+        "side,q,seed", [(30.0, 0.3, 1), (34.0, 0.4, 2), (37.0, 0.5, 3), (40.0, 0.6, 4)]
+    )
+    def test_matches_reference_on_philox_windows(self, side, q, seed):
+        # the draws of plane_lengths at lam = 1
+        rng = mc._chunk_generator(seed, mc._PLANE_STREAM_TAG)
+        n = int(rng.poisson(side * side))
+        xs = rng.uniform(0.0, side, n)
+        ys = rng.uniform(0.0, side, n)
+        is_east = rng.random(n) < q
+        assert_resolves_like_reference(xs[is_east], ys[is_east], xs[~is_east], ys[~is_east])
 
     def test_empty_window(self):
         config = mc.PlaneConfig(
