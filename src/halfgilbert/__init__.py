@@ -37,7 +37,6 @@ from .montecarlo import (
     SimConfig,
     SimStats,
     draw_samples,
-    empirical_mgf,
     run_monte_carlo,
     simulate_plane,
 )
@@ -46,7 +45,6 @@ from .specfun import (
     erfc_fn,
     gamma_fn,
     hermite_fn,
-    hermite_fn_integral,
     kummer_1f1,
 )
 
@@ -72,11 +70,9 @@ __all__ = [
     "c_coefficient",
     "closed_moments",
     "draw_samples",
-    "empirical_mgf",
     "erfc_fn",
     "gamma_fn",
     "hermite_fn",
-    "hermite_fn_integral",
     "integral_equation_residual",
     "j_integral",
     "k_integral",

@@ -125,12 +125,6 @@ class MomentReport:
                 return entry.value
         raise KeyError(f"no entry of order {order}")
 
-    def std_error(self, order: int) -> float | None:
-        for entry in self.entries:
-            if entry.order == order:
-                return entry.std_error
-        raise KeyError(f"no entry of order {order}")
-
 
 def _check_q(q: float) -> float:
     q = float(q)

@@ -17,6 +17,7 @@ bit-identical regardless of how many workers execute the chunks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "draw_samples",
-    "empirical_mgf",
     "plane_lengths",
     "run_monte_carlo",
     "simulate_plane",
@@ -49,6 +49,12 @@ _PLANE_STREAM_TAG = 0x504C414E45
 _MAX_SEED = 2**64
 
 _N_MOMENTS = 6
+
+# Time block of the plane resolver's sweep, and the side of the grid cells
+# it files the south seeds in.  Both set only its speed and memory, never
+# its result.
+_BLOCK_T = 4.0
+_CELL = 1.0
 
 
 @dataclass(frozen=True)
@@ -231,21 +237,6 @@ def run_monte_carlo(config: SimConfig) -> SimStats:
     return stats_from_lengths(draw_samples(config), config.seed)
 
 
-def empirical_mgf(samples, t: float) -> float:
-    """Empirical MGF (1/n) sum exp(t * X_i) of a sample of lengths.
-
-    Trustworthy for t <= 0.  For t > 0 the summand is heavy-tailed
-    (E[exp(t X)] is infinite past the divergence abscissa of the MGF and
-    its empirical variance explodes well before that), so keep t well
-    below analytic.mgf_divergence_point(q) and treat the standard error
-    with suspicion as t approaches it.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empirical_mgf needs at least one sample")
-    return float(np.exp(t * arr).mean())
-
-
 # ---------------------------------------------------------------------------
 # Direct plane simulation
 # ---------------------------------------------------------------------------
@@ -256,6 +247,7 @@ def _resolve_blockings(
     east_y: np.ndarray,
     south_x: np.ndarray,
     south_y: np.ndarray,
+    watch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stop distances for interacting east and south rays.
 
@@ -269,24 +261,111 @@ def _resolve_blockings(
 
     Both are read before either stop is written, so a tie stops each ray
     whose blocker covered the crossing.  Events are processed in
-    increasing later-arrival time, so every lookup refers to settled
-    history.  Returns stop distances, inf for rays never blocked.
+    increasing later-arrival time t = max(de, ds), so every lookup refers
+    to settled history.
+
+    The events are swept in time blocks (0, D], (D, 2D], ... with
+    D = _BLOCK_T.  A block takes its candidate pairs from a grid of the
+    south seeds (cells padded by one against rounding of the cell index),
+    keeps a pair only if a > x0 and b > y0, and puts it in the block iff
+    t_lo < t <= t_hi on the same float t that orders the events.  So each
+    crossing lands in exactly one block, equal times share a block, and
+    sorting each block by (t, de, ds, i, j) on the callers' indices
+    replays the global event order exactly; no all-pairs array is built.
+
+    With a boolean `watch` mask over the east rays the sweep ends after
+    the first block whose end t_hi leaves every watched ray settled:
+    stopped, or with max(south_x) - x0 <= t_hi, so that every later event
+    of the ray has de < t and cannot stop it.  A stop, once set, is final,
+    since it is only set at t = de and a later event of the ray has either
+    de >= the stop or ds > de.  The watched stop_e are then exact, while
+    stop_s and the unwatched stop_e may be left unresolved (inf).  Without
+    `watch` the sweep runs to the last event.  Returns stop distances, inf
+    for rays never blocked.
     """
-    ii, jj = np.nonzero((south_x > east_x[:, None]) & (south_y > east_y[:, None]))
-    d_e = south_x[jj] - east_x[ii]
-    d_s = south_y[jj] - east_y[ii]
-    # Deterministic order: time, then tie-break on distances and indices.
-    order = np.lexsort((jj, ii, d_s, d_e, np.maximum(d_e, d_s)))
     stop_e = [math.inf] * east_x.size
     stop_s = [math.inf] * south_x.size
-    for i, j, de, ds in zip(*(a[order].tolist() for a in (ii, jj, d_e, d_s))):
-        hit_s = de <= ds and stop_s[j] > ds and stop_e[i] >= de
-        hit_e = ds <= de and stop_e[i] > de and stop_s[j] >= ds
-        if hit_s:
-            stop_s[j] = ds
-        if hit_e:
-            stop_e[i] = de
+    if east_x.size and south_x.size:
+        candidates = _candidate_pairs(east_x, east_y, south_x, south_y)
+        reach = south_x.max() - east_x
+        t_end = max(reach.max(), south_y.max() - east_y.min())
+        for k in itertools.count():
+            t_lo = k * _BLOCK_T
+            t_hi = t_lo + _BLOCK_T
+            ii, jj = candidates(t_lo, t_hi)
+            keep = (south_x[jj] > east_x[ii]) & (south_y[jj] > east_y[ii])
+            ii, jj = ii[keep], jj[keep]
+            d_e = south_x[jj] - east_x[ii]
+            d_s = south_y[jj] - east_y[ii]
+            t = np.maximum(d_e, d_s)
+            inside = (t_lo < t) & (t <= t_hi)
+            ii, jj, d_e, d_s, t = (a[inside] for a in (ii, jj, d_e, d_s, t))
+            # Deterministic order: time, then tie-break on distances and indices.
+            order = np.lexsort((jj, ii, d_s, d_e, t))
+            for i, j, de, ds in zip(*(a[order].tolist() for a in (ii, jj, d_e, d_s))):
+                hit_s = de <= ds and stop_s[j] > ds and stop_e[i] >= de
+                hit_e = ds <= de and stop_e[i] > de and stop_s[j] >= ds
+                if hit_s:
+                    stop_s[j] = ds
+                if hit_e:
+                    stop_e[i] = de
+            if t_hi >= t_end:
+                break
+            if watch is not None:
+                open_e = np.isinf(np.array(stop_e)) & (reach > t_hi)
+                if not np.any(open_e & watch):
+                    break
     return np.array(stop_e), np.array(stop_s)
+
+
+def _candidate_pairs(east_x, east_y, south_x, south_y):
+    """Files the south seeds in a grid of _CELL-sided cells and returns a
+    function of (t_lo, t_hi) that gives (east, south) index pairs: a
+    superset of the crossings with t_lo < t <= t_hi.
+
+    For an east ray from (x0, y0), the cell rows from y0's up to
+    (y0 + t_hi)'s are read over the columns from x0's to (x0 + t_hi)'s.
+    Rows below (y0 + t_lo)'s hold only ds < t_lo, so there the columns
+    start at (x0 + t_lo)'s.  Every bound is widened by one cell, which
+    covers the rounding of a cell index.
+    """
+    left = south_x.min()
+    bottom = south_y.min()
+    col = (south_x - left) // _CELL
+    n_cols = int(col.max()) + 1
+    cell = ((south_y - bottom) // _CELL * n_cols + col).astype(np.int64)
+    # Row-major cell order, so the cells of one row segment are one
+    # contiguous run of by_cell.
+    by_cell = np.argsort(cell, kind="stable")
+    cell = cell[by_cell]
+    n_rows = int(cell[-1]) // n_cols + 1
+
+    def index(v, origin):
+        return ((v - origin) // _CELL).astype(np.int64)
+
+    def pairs(t_lo, t_hi):
+        col_lo = np.maximum(index(east_x, left) - 1, 0)
+        col_lo_inner = np.maximum(index(east_x + t_lo, left) - 1, 0)
+        col_hi = np.minimum(index(east_x + t_hi, left) + 1, n_cols - 1)
+        row_inner = index(east_y + t_lo, bottom) - 2
+        row_lo = np.maximum(index(east_y, bottom) - 1, 0)
+        row_hi = np.minimum(index(east_y + t_hi, bottom) + 1, n_rows - 1)
+        rows = np.maximum(row_hi - row_lo + 1, 0)
+        ray = np.repeat(np.arange(east_x.size), rows)
+        row = row_lo[ray] + _ramp(rows)
+        lo = np.where(row <= row_inner[ray], col_lo_inner[ray], col_lo[ray])
+        hi = np.maximum(col_hi[ray], lo - 1)  # lo > hi: an empty segment
+        first = np.searchsorted(cell, row * n_cols + lo)
+        count = np.searchsorted(cell, row * n_cols + hi + 1) - first
+        return np.repeat(ray, count), by_cell[np.repeat(first, count) + _ramp(count)]
+
+    return pairs
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in counts, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts, counts)
 
 
 def plane_lengths(config: PlaneConfig) -> tuple[np.ndarray, int]:
@@ -306,12 +385,11 @@ def plane_lengths(config: PlaneConfig) -> tuple[np.ndarray, int]:
 
     east_x = xs[is_east]
     east_y = ys[is_east]
-    stop_e, _ = _resolve_blockings(east_x, east_y, xs[~is_east], ys[~is_east])
-
     m = config.margin
     in_band = (
         (east_x >= m) & (east_x <= w - m) & (east_y >= m) & (east_y <= h - m)
     )
+    stop_e, _ = _resolve_blockings(east_x, east_y, xs[~is_east], ys[~is_east], in_band)
     band_stops = stop_e[in_band]
     finished = np.isfinite(band_stops)
     return band_stops[finished], int((~finished).sum())

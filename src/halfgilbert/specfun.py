@@ -2,10 +2,9 @@
 
 Provides gamma (including negative non-integer arguments), the complementary
 error function, the Kummer confluent hypergeometric function 1F1, and the
-Hermite function H_v of non-integer order v.  H_v is evaluated along two
-independent routes: a two-term 1F1 combination (`hermite_fn`) and direct
-adaptive quadrature of its integral representation (`hermite_fn_integral`).
-Agreement of the two routes is the correctness oracle for both.
+Hermite function H_v of non-integer order v, as a two-term 1F1
+combination (`hermite_fn`).  The test suite checks it against direct
+quadrature of the integral representation of H_v.
 
 Everything here is a pure function of its arguments and is safe to call
 concurrently.
@@ -28,7 +27,6 @@ __all__ = [
     "erfc_fn",
     "gamma_fn",
     "hermite_fn",
-    "hermite_fn_integral",
     "kummer_1f1",
 ]
 
@@ -38,9 +36,15 @@ _SQRT_PI = math.sqrt(math.pi)
 # Explicit failure beats silent catastrophic digit loss next to a pole.
 _POLE_EPS = 1e-9
 
-# |z| bound for hermite_fn_integral: the prefactor exp(z^2) overflows double
+# Lower z bound for _hermite_laplace: exp(z^2)-scale values overflow double
 # precision once z^2 > 709, so 26^2 = 676 keeps a safety margin.
 _HERMITE_Z_MAX = 26.0
+
+# |z| bound for hermite_fn.  Its two 1F1 terms grow like exp(z^2) and
+# cancel: against a 40-digit reference over -1 < v < 3 the error relative
+# to max(|H|, 1) stays below 1e-8 for |z| <= 4 (worst 8.7e-9 at v = -0.95,
+# z = 4), but H_{-0.6}(7) comes out as -459820 and |z| = 30 overflows.
+_KUMMER_Z_MAX = 4.0
 
 # Upper z bound for _hermite_laplace.  Its head series cancels more as z
 # grows: against a 40-digit reference its relative error stays below
@@ -56,11 +60,6 @@ _SERIES_MAX_TERMS = 500
 
 # Panel budget of adaptive_quad before QuadratureConvergenceError.
 _QUAD_MAX_PANELS = 400
-
-# Finite upper limit substituted for infinity in hermite_fn_integral, whose
-# integrand decays like exp(-u^2): the discarded tail is below
-# exp(-144) ~ 4e-63.
-_TAIL_CUTOFF = 12.0
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -324,14 +323,17 @@ def hermite_fn(v: float, z: float) -> float:
                                 - 2 z 1F1((1-v)/2; 3/2; z^2) / Gamma(-v/2) ]
 
     with 1/Gamma taken as zero at its poles, which reproduces the
-    classical polynomials at integer v.  Cross-checked against
-    `hermite_fn_integral` (the two routes share no evaluation machinery
-    beyond 1F1 itself appearing only here).
+    classical polynomials at integer v.  Raises DomainError for |z| > 4,
+    where the two terms cancel into wrong digits.
     """
     v = _require_finite("v", v)
     z = _require_finite("z", z)
     if v <= -1.0:
         raise DomainError(f"Hermite order must exceed -1, got v={v!r}")
+    if abs(z) > _KUMMER_Z_MAX:
+        raise DomainError(
+            f"|z| = {abs(z)!r} exceeds {_KUMMER_Z_MAX}; the 1F1 terms cancel there"
+        )
     z2 = z * z
     c1 = _reciprocal_gamma((1.0 - v) / 2.0)
     c2 = _reciprocal_gamma(-v / 2.0)
@@ -349,7 +351,7 @@ def _hermite_laplace(v: float, z: float) -> float:
     this route has no exp(z^2)-scale cancellation for z > 0 and keeps
     near-machine relative accuracy there.  Used internally by the MGF
     layer, whose residual probes difference H pointwise and would amplify
-    that cancellation noise; not part of the public dual-path pair.
+    that cancellation noise; not public.
     """
     v = _require_finite("v", v)
     z = _require_finite("z", z)
@@ -396,45 +398,3 @@ def _hermite_laplace(v: float, z: float) -> float:
     )
     return (head + rest) / gamma_fn(alpha)
 
-
-def hermite_fn_integral(v: float, z: float) -> float:
-    """Hermite function H_v(z) by quadrature of its integral representation
-
-        H_v(z) = 2^(v+1)/sqrt(pi) exp(z^2)
-                 * integral_0^inf exp(-u^2) u^v cos(2 z u - pi v / 2) du,
-
-    valid for v > -1.  The integral is truncated at U = 12, where the
-    remainder is bounded by exp(-U^2), about 4e-63.  For v < 0 the u^v
-    endpoint singularity on [0, 1] is removed exactly by the substitution
-    u = w^(1/(v+1)), under which u^v du becomes dw/(v+1); [1, U] is
-    integrated directly.  The quadrature targets an error of 1e-10 in the
-    returned value, absolute or relative, whichever is looser.
-    Requires |z| <= 26 so the exp(z^2) prefactor stays inside double range.
-    """
-    v = _require_finite("v", v)
-    z = _require_finite("z", z)
-    if v <= -1.0:
-        raise DomainError(f"Hermite order must exceed -1, got v={v!r}")
-    if abs(z) > _HERMITE_Z_MAX:
-        raise DomainError(
-            f"|z| = {abs(z)!r} exceeds {_HERMITE_Z_MAX}; exp(z^2) would overflow"
-        )
-    phase = 0.5 * math.pi * v
-    two_z = 2.0 * z
-
-    def g(u: float) -> float:
-        return math.exp(-u * u) * math.cos(two_z * u - phase)
-
-    scale = 2.0 ** (v + 1.0) / _SQRT_PI * math.exp(z * z)
-    # The 1e-10 tolerance applies to the returned value, so the inner
-    # integral is taken to 1e-10 / scale (the roundoff floor in
-    # adaptive_quad bounds what is achievable when scale is large).
-    abs_tol = 1e-10 / scale
-    if v < 0.0:
-        power = 1.0 / (v + 1.0)
-        head = adaptive_quad(lambda w: g(w**power), 0.0, 1.0, abs_tol=abs_tol)
-        tail = adaptive_quad(lambda u: u**v * g(u), 1.0, _TAIL_CUTOFF, abs_tol=abs_tol)
-        return scale * (head / (v + 1.0) + tail)
-    return scale * adaptive_quad(
-        lambda u: u**v * g(u), 0.0, _TAIL_CUTOFF, abs_tol=abs_tol
-    )

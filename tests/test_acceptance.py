@@ -16,6 +16,7 @@ from halfgilbert import analytic as an
 from halfgilbert import montecarlo as mc
 from halfgilbert import specfun as sf
 from halfgilbert.analytic import ModelParams
+from test_specfun import hermite_fn_integral, hermite_j_oracle
 
 # Six-significant-figure targets for q = 2/5 at unit intensity.
 TABLE = (1.81696, 4.64107, 15.5701, 65.9721, 342.243)
@@ -120,7 +121,7 @@ def test_criterion_5_dual_path_special_functions():
         for i in range(17):
             z = -4.0 + 0.5 * i
             a = sf.hermite_fn(v, z)
-            b = sf.hermite_fn_integral(v, z)
+            b = hermite_fn_integral(v, z)
             hermite_worst = max(hermite_worst, abs(a - b) / (1.0 + abs(a)))
     from scipy.integrate import quad
 
@@ -136,7 +137,7 @@ def test_criterion_5_dual_path_special_functions():
     for t, q in ((0.9, 0.4), (0.0, 0.5), (-1.0, 0.7)):
         oracle, _ = quad(
             lambda u: sf.erfc_fn((u - t) / sqrt2)
-            * sf.hermite_fn(q - 1.0, (u - t) / sqrt2),
+            * hermite_j_oracle(q - 1.0, (u - t) / sqrt2),
             0.0,
             t + 9.0,
             limit=200,

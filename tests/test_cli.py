@@ -9,7 +9,7 @@ import pytest
 
 from halfgilbert import cli, montecarlo
 from halfgilbert.analytic import ModelParams, mgf_special_half
-from test_montecarlo import resolve_blockings_reference
+from test_montecarlo import resolve_all_by_reference
 
 
 def run_cli(*args):
@@ -180,7 +180,7 @@ class TestSimulate:
             "--window-h", "30", "--margin", "8", "--seed", "4", "--dump", str(dump),
         ])
         assert code == 0
-        monkeypatch.setattr(montecarlo, "_resolve_blockings", resolve_blockings_reference)
+        monkeypatch.setattr(montecarlo, "_resolve_blockings", resolve_all_by_reference)
         config = montecarlo.PlaneConfig(
             params=ModelParams(q=0.45),
             window_width=30.0,

@@ -31,6 +31,20 @@ def sample_ray_length(params, rng) -> float:
         y, x_accum = rng.uniform(0.0, r + y), x_accum + r
 
 
+def empirical_mgf(samples, t: float) -> float:
+    """Empirical MGF (1/n) sum exp(t * X_i) of a sample of lengths.
+
+    Trustworthy for t <= 0.  For t > 0 the summand is heavy-tailed
+    (E[exp(t X)] is infinite past the divergence abscissa of the MGF and
+    its empirical variance explodes well before that), so keep t well
+    below analytic.mgf_divergence_point(q).
+    """
+    arr = np.asarray(samples, dtype=float)
+    if arr.size == 0:
+        raise ValueError("empirical_mgf needs at least one sample")
+    return float(np.exp(t * arr).mean())
+
+
 # All-pairs plane resolver with the blocking rule written out per case (a
 # later south ray, a later east ray, a tie), built in east-ray blocks.  It
 # is the oracle that montecarlo._resolve_blockings must match bit for bit.
@@ -110,6 +124,37 @@ def assert_resolves_like_reference(*rays):
     ref_e, ref_s = resolve_blockings_reference(*rays)
     assert np.array_equal(stop_e, ref_e)
     assert np.array_equal(stop_s, ref_s)
+
+
+def tie_heavy_grids(count):
+    """`count` ray sets of 0-40 seeds on a 2..7 integer grid with a random
+    east share, so equal arrival times, equal event times, rays through
+    each other's seeds and events on the resolver's block edges are
+    common."""
+    rng = np.random.default_rng(17)
+    for _ in range(count):
+        n = int(rng.integers(0, 41))
+        grid = int(rng.integers(2, 8))
+        xs = rng.integers(0, grid, n).astype(float)
+        ys = rng.integers(0, grid, n).astype(float)
+        is_east = rng.random(n) < rng.random()
+        yield rng, (xs[is_east], ys[is_east], xs[~is_east], ys[~is_east])
+
+
+def resolve_all_by_reference(east_x, east_y, south_x, south_y, watch=None):
+    """resolve_blockings_reference in the place of _resolve_blockings: it
+    takes the `watch` mask and resolves every ray regardless."""
+    return resolve_blockings_reference(east_x, east_y, south_x, south_y)
+
+
+def reference_plane_lengths(config):
+    """plane_lengths with resolve_blockings_reference patched in."""
+    resolver = mc._resolve_blockings
+    mc._resolve_blockings = resolve_all_by_reference
+    try:
+        return mc.plane_lengths(config)
+    finally:
+        mc._resolve_blockings = resolver
 
 
 class ScriptedRng:
@@ -276,11 +321,11 @@ class TestRunMonteCarlo:
 
 class TestEmpiricalMgf:
     def test_exactly_one_at_zero(self):
-        assert mc.empirical_mgf([0.3, 1.2, 5.0], 0.0) == 1.0
+        assert empirical_mgf([0.3, 1.2, 5.0], 0.0) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mc.empirical_mgf([], -1.0)
+            empirical_mgf([], -1.0)
 
 
 class TestPlaneSimulator:
@@ -323,22 +368,28 @@ class TestPlaneSimulator:
         assert stop_e[1] == math.inf
 
     def test_matches_reference_on_tie_heavy_grids(self):
-        # integer coordinates on a 2..7 grid make equal arrival times, equal
-        # event times and rays through each other's seeds common
-        rng = np.random.default_rng(17)
         ties = 0
-        for _ in range(2_000):
-            n = int(rng.integers(0, 41))
-            grid = int(rng.integers(2, 8))
-            xs = rng.integers(0, grid, n).astype(float)
-            ys = rng.integers(0, grid, n).astype(float)
-            is_east = rng.random(n) < rng.random()
-            rays = (xs[is_east], ys[is_east], xs[~is_east], ys[~is_east])
+        for _, rays in tie_heavy_grids(2_000):
             assert_resolves_like_reference(*rays)
             ex, ey, sx, sy = rays
             crossing = (sx > ex[:, None]) & (sy > ey[:, None])
             ties += bool(np.any(crossing & (sx - ex[:, None] == sy - ey[:, None])))
         assert ties > 500
+
+    def test_watched_stops_match_reference_on_tie_heavy_grids(self):
+        # event times of 4 = _BLOCK_T sit on the first block edge; the sweep
+        # may end early, but never before a watched ray is settled
+        on_edge = 0
+        for rng, rays in tie_heavy_grids(2_000):
+            watch = rng.random(rays[0].size) < rng.random()
+            stop_e, _ = mc._resolve_blockings(*rays, watch=watch)
+            ref_e, _ = resolve_blockings_reference(*rays)
+            assert np.array_equal(stop_e[watch], ref_e[watch])
+            ex, ey, sx, sy = rays
+            de = sx - ex[:, None]
+            ds = sy - ey[:, None]
+            on_edge += bool(np.any((de > 0) & (ds > 0) & (np.maximum(de, ds) == 4.0)))
+        assert on_edge > 200
 
     @pytest.mark.parametrize(
         "side,q,seed", [(30.0, 0.3, 1), (34.0, 0.4, 2), (37.0, 0.5, 3), (40.0, 0.6, 4)]
@@ -351,6 +402,43 @@ class TestPlaneSimulator:
         ys = rng.uniform(0.0, side, n)
         is_east = rng.random(n) < q
         assert_resolves_like_reference(xs[is_east], ys[is_east], xs[~is_east], ys[~is_east])
+
+    @pytest.mark.parametrize(
+        "side,q,seed", [(40.0, 0.3, 11), (50.0, 0.45, 12), (60.0, 0.6, 13)]
+    )
+    def test_plane_lengths_match_reference_on_workload_windows(self, side, q, seed):
+        config = mc.PlaneConfig(
+            params=ModelParams(q=q),
+            window_width=side,
+            window_height=side,
+            margin=15.0,
+            seed=seed,
+        )
+        lengths, censored = mc.plane_lengths(config)
+        ref_lengths, ref_censored = reference_plane_lengths(config)
+        assert lengths.tobytes() == ref_lengths.tobytes()
+        assert censored == ref_censored
+
+    def test_plane_lengths_match_reference_on_censoring_heavy_windows(self):
+        # small windows and wide bands leave interior rays unblocked, so the
+        # sweep must run to the end of the window for them
+        rng = np.random.default_rng(23)
+        censored_total = 0
+        for seed in range(36):
+            side = float(rng.uniform(6.0, 35.0))
+            config = mc.PlaneConfig(
+                params=ModelParams(q=float(rng.uniform(0.2, 0.9))),
+                window_width=side,
+                window_height=side,
+                margin=float(rng.uniform(0.0, 0.5 * side)),
+                seed=seed,
+            )
+            lengths, censored = mc.plane_lengths(config)
+            ref_lengths, ref_censored = reference_plane_lengths(config)
+            assert lengths.tobytes() == ref_lengths.tobytes()
+            assert censored == ref_censored
+            censored_total += censored
+        assert censored_total > 50
 
     def test_empty_window(self):
         config = mc.PlaneConfig(

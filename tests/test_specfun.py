@@ -24,8 +24,78 @@ HERMITE_M06_AT_20 = 0.1092707965331408092640947
 HERMITE_M095_AT_20 = 0.0300290579004510807459975
 
 
+# H_v(z) from a 40-digit offline evaluation, inside hermite_fn's |z| <= 4.
+HERMITE_40_DIGITS = {
+    (-0.89, 4.0): 0.1533143939293283111866728,
+    (-0.3, -3.5): 52927.76716115111590412172,
+    (0.5, 2.5): 2.257017788762006081571788,
+    (1.5, 3.0): 14.39371876559812807397354,
+    (2.5, -4.0): -176522.406302080771825203,
+}
+
+# Finite upper limit substituted for infinity in hermite_fn_integral, whose
+# integrand decays like exp(-u^2): the discarded tail is below
+# exp(-144) ~ 4e-63.
+_TAIL_CUTOFF = 12.0
+
+
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def hermite_fn_integral(v: float, z: float) -> float:
+    """Hermite function H_v(z) by quadrature of its integral representation
+
+        H_v(z) = 2^(v+1)/sqrt(pi) exp(z^2)
+                 * integral_0^inf exp(-u^2) u^v cos(2 z u - pi v / 2) du,
+
+    valid for v > -1: the oracle that sf.hermite_fn, a two-term 1F1
+    combination, must match.  The two share no code beyond adaptive_quad.
+    The integral is truncated at U = 12, where the remainder is bounded by
+    exp(-U^2), about 4e-63.  For v < 0 the u^v endpoint singularity on
+    [0, 1] is removed exactly by the substitution u = w^(1/(v+1)), under
+    which u^v du becomes dw/(v+1); [1, U] is integrated directly.  The
+    quadrature targets an error of 1e-10 in the returned value, absolute or
+    relative, whichever is looser.  Requires |z| <= 26 so the exp(z^2)
+    prefactor stays inside double range.
+    """
+    v = float(v)
+    z = float(z)
+    if not (math.isfinite(v) and math.isfinite(z)):
+        raise DomainError(f"v and z must be finite, got v={v!r}, z={z!r}")
+    if v <= -1.0:
+        raise DomainError(f"Hermite order must exceed -1, got v={v!r}")
+    if abs(z) > sf._HERMITE_Z_MAX:
+        raise DomainError(
+            f"|z| = {abs(z)!r} exceeds {sf._HERMITE_Z_MAX}; exp(z^2) would overflow"
+        )
+    phase = 0.5 * math.pi * v
+    two_z = 2.0 * z
+
+    def g(u: float) -> float:
+        return math.exp(-u * u) * math.cos(two_z * u - phase)
+
+    scale = 2.0 ** (v + 1.0) / math.sqrt(math.pi) * math.exp(z * z)
+    # The 1e-10 tolerance applies to the returned value, so the inner
+    # integral is taken to 1e-10 / scale (the roundoff floor in
+    # adaptive_quad bounds what is achievable when scale is large).
+    abs_tol = 1e-10 / scale
+    if v < 0.0:
+        power = 1.0 / (v + 1.0)
+        head = sf.adaptive_quad(lambda w: g(w**power), 0.0, 1.0, abs_tol=abs_tol)
+        tail = sf.adaptive_quad(lambda u: u**v * g(u), 1.0, _TAIL_CUTOFF, abs_tol=abs_tol)
+        return scale * (head / (v + 1.0) + tail)
+    return scale * sf.adaptive_quad(
+        lambda u: u**v * g(u), 0.0, _TAIL_CUTOFF, abs_tol=abs_tol
+    )
+
+
+def hermite_j_oracle(v: float, z: float) -> float:
+    """H_v(z) for -1 < v < 0 in the J-integral quadrature oracles, whose
+    argument (u - t)/sqrt(2) runs up to about 6.4: sf.hermite_fn up to
+    z = 4, where it stops, and the Laplace route past it, where the
+    erfc(z) < 2e-8 weight makes the integrand tiny anyway."""
+    return sf.hermite_fn(v, z) if z <= 4.0 else sf._hermite_laplace(v, z)
 
 
 class TestGamma:
@@ -139,17 +209,17 @@ class TestHermite:
     def test_closed_value_at_zero(self):
         got = sf.hermite_fn(-0.6, 0.0)
         assert rel(got, HERMITE_M06_AT_0) < 1e-12
-        assert abs(sf.hermite_fn_integral(-0.6, 0.0) - got) < 1e-9
+        assert abs(hermite_fn_integral(-0.6, 0.0) - got) < 1e-9
 
     def test_integral_reproduces_order_zero(self):
-        assert abs(sf.hermite_fn_integral(0.0, 1.5) - 1.0) < 1e-9
+        assert abs(hermite_fn_integral(0.0, 1.5) - 1.0) < 1e-9
 
     def test_integral_reproduces_order_one(self):
-        assert abs(sf.hermite_fn_integral(1.0, -0.7) + 1.4) < 1e-9
+        assert abs(hermite_fn_integral(1.0, -0.7) + 1.4) < 1e-9
 
     def test_dual_path_example(self):
         a = sf.hermite_fn(-0.6, 0.9)
-        b = sf.hermite_fn_integral(-0.6, 0.9)
+        b = hermite_fn_integral(-0.6, 0.9)
         assert abs(a - b) <= 1e-8
         assert rel(a, HERMITE_M06_AT_09) < 1e-12
 
@@ -158,7 +228,7 @@ class TestHermite:
             for i in range(17):
                 z = -4.0 + 0.5 * i
                 a = sf.hermite_fn(v, z)
-                b = sf.hermite_fn_integral(v, z)
+                b = hermite_fn_integral(v, z)
                 assert abs(a - b) <= 1e-8 * (1.0 + abs(a)), (v, z)
 
     def test_integer_order_collapse(self):
@@ -181,11 +251,23 @@ class TestHermite:
         with pytest.raises(DomainError):
             sf.hermite_fn(v, 0.3)
         with pytest.raises(DomainError):
-            sf.hermite_fn_integral(v, 0.3)
+            hermite_fn_integral(v, 0.3)
 
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
-            sf.hermite_fn_integral(0.5, 27.0)
+            hermite_fn_integral(0.5, 27.0)
+
+    @pytest.mark.parametrize("v,z", sorted(HERMITE_40_DIGITS))
+    def test_forty_digit_values(self, v, z):
+        want = HERMITE_40_DIGITS[(v, z)]
+        assert abs(sf.hermite_fn(v, z) - want) <= 1e-8 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize("z", [4.5, 7.0, 30.0, -30.0, 50.0, -50.0])
+    def test_refuses_large_z(self, z):
+        # the 1F1 terms cancel: at z = 7 they gave -459820, at |z| = 30 an
+        # OverflowError, at 50 nan and at -50 inf
+        with pytest.raises(DomainError):
+            sf.hermite_fn(-0.6, z)
 
     def test_laplace_route_matches_kummer_route(self):
         # internal evaluator used by the MGF layer for -1 < v < 0
