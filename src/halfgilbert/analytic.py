@@ -225,12 +225,12 @@ def mgf_divergence_point(q: float, resolution: float = 1e-9) -> float:
     """Smallest t > 0 at which the MGF denominator vanishes, or inf.
 
     The terminal length has an exponential (not Gaussian) tail: a geometric
-    number of sub-Gaussian hops compounds into P(X > x) ~ exp(-t* x) up to
-    a slowly varying factor, so E[exp(t X)] diverges at the finite abscissa
-    t*.  The closed form signals this through a simple zero of its
-    denominator; this helper locates it by bisection on [0, T_MAX] (about
-    1.53 at q = 0.2, 0.97 at q = 0.4, 0.27 at q = 0.8).  Returns inf when
-    the denominator keeps its sign up to T_MAX.
+    number of sub-Gaussian hops compounds into P(X > x) ~ exp(-t* x) / q,
+    so E[exp(t X)] diverges at the finite abscissa t*.  The closed form
+    signals this through a simple zero of its denominator, a pole
+    M(t) ~ (t*/q) / (t* - t); this helper locates it by bisection on
+    [0, T_MAX] (about 1.53 at q = 0.2, 0.97 at q = 0.4, 0.27 at q = 0.8).
+    Returns inf when the denominator keeps its sign up to T_MAX.
     """
     q = _check_q(q)
     lo = 0.0
