@@ -17,7 +17,6 @@ bit-identical regardless of how many workers execute the chunks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,8 +50,9 @@ _MAX_SEED = 2**64
 _N_MOMENTS = 6
 
 # Time block of the plane resolver's sweep, and the side of the grid cells
-# it files the south seeds in.  Both set only its speed and memory, never
-# its result.
+# it files the south seeds in, in units of the seed spacing 1/sqrt(lam), so
+# that the number of blocks and the seeds per cell do not depend on lam.
+# Both set only its speed and memory, never its result.
 _BLOCK_T = 4.0
 _CELL = 1.0
 
@@ -248,6 +248,7 @@ def _resolve_blockings(
     south_x: np.ndarray,
     south_y: np.ndarray,
     watch: np.ndarray | None = None,
+    spacing: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stop distances for interacting east and south rays.
 
@@ -265,13 +266,16 @@ def _resolve_blockings(
     to settled history.
 
     The events are swept in time blocks (0, D], (D, 2D], ... with
-    D = _BLOCK_T.  A block takes its candidate pairs from a grid of the
-    south seeds (cells padded by one against rounding of the cell index),
-    keeps a pair only if a > x0 and b > y0, and puts it in the block iff
-    t_lo < t <= t_hi on the same float t that orders the events.  So each
-    crossing lands in exactly one block, equal times share a block, and
-    sorting each block by (t, de, ds, i, j) on the callers' indices
-    replays the global event order exactly; no all-pairs array is built.
+    D = _BLOCK_T * spacing.  A block takes its candidate pairs from a grid
+    of the south seeds with cells of side _CELL * spacing, padded by one
+    cell against rounding of the cell index.  It keeps a pair only if
+    a > x0 and b > y0, and puts it in the block iff t_lo < t <= t_hi on the
+    same float t that orders the events.  So each crossing lands in exactly
+    one block, equal times share a block, and sorting each block by
+    (t, de, ds, i, j) on the callers' indices replays the global event
+    order exactly; no all-pairs array is built.  `spacing` is the seed
+    spacing (plane_lengths passes 1/sqrt(lam)); it scales the blocks and
+    cells to the model and changes no result.
 
     With a boolean `watch` mask over the east rays the sweep ends after
     the first block whose end t_hi leaves every watched ray settled:
@@ -286,12 +290,13 @@ def _resolve_blockings(
     stop_e = [math.inf] * east_x.size
     stop_s = [math.inf] * south_x.size
     if east_x.size and south_x.size:
-        candidates = _candidate_pairs(east_x, east_y, south_x, south_y)
+        block = _BLOCK_T * spacing
+        candidates = _candidate_pairs(east_x, east_y, south_x, south_y, _CELL * spacing)
         reach = south_x.max() - east_x
         t_end = max(reach.max(), south_y.max() - east_y.min())
-        for k in itertools.count():
-            t_lo = k * _BLOCK_T
-            t_hi = t_lo + _BLOCK_T
+        t_hi = 0.0
+        while True:  # each block starts at the very float the last one ended
+            t_lo, t_hi = t_hi, t_hi + block
             ii, jj = candidates(t_lo, t_hi)
             keep = (south_x[jj] > east_x[ii]) & (south_y[jj] > east_y[ii])
             ii, jj = ii[keep], jj[keep]
@@ -318,10 +323,10 @@ def _resolve_blockings(
     return np.array(stop_e), np.array(stop_s)
 
 
-def _candidate_pairs(east_x, east_y, south_x, south_y):
-    """Files the south seeds in a grid of _CELL-sided cells and returns a
-    function of (t_lo, t_hi) that gives (east, south) index pairs: a
-    superset of the crossings with t_lo < t <= t_hi.
+def _candidate_pairs(east_x, east_y, south_x, south_y, side):
+    """Files the south seeds in a grid of square cells of side `side` and
+    returns a function of (t_lo, t_hi) that gives (east, south) index
+    pairs: a superset of the crossings with t_lo < t <= t_hi.
 
     For an east ray from (x0, y0), the cell rows from y0's up to
     (y0 + t_hi)'s are read over the columns from x0's to (x0 + t_hi)'s.
@@ -331,9 +336,9 @@ def _candidate_pairs(east_x, east_y, south_x, south_y):
     """
     left = south_x.min()
     bottom = south_y.min()
-    col = (south_x - left) // _CELL
+    col = ((south_x - left) // side).astype(np.int64)
     n_cols = int(col.max()) + 1
-    cell = ((south_y - bottom) // _CELL * n_cols + col).astype(np.int64)
+    cell = ((south_y - bottom) // side).astype(np.int64) * n_cols + col
     # Row-major cell order, so the cells of one row segment are one
     # contiguous run of by_cell.
     by_cell = np.argsort(cell, kind="stable")
@@ -341,7 +346,7 @@ def _candidate_pairs(east_x, east_y, south_x, south_y):
     n_rows = int(cell[-1]) // n_cols + 1
 
     def index(v, origin):
-        return ((v - origin) // _CELL).astype(np.int64)
+        return ((v - origin) // side).astype(np.int64)
 
     def pairs(t_lo, t_hi):
         col_lo = np.maximum(index(east_x, left) - 1, 0)
@@ -389,7 +394,9 @@ def plane_lengths(config: PlaneConfig) -> tuple[np.ndarray, int]:
     in_band = (
         (east_x >= m) & (east_x <= w - m) & (east_y >= m) & (east_y <= h - m)
     )
-    stop_e, _ = _resolve_blockings(east_x, east_y, xs[~is_east], ys[~is_east], in_band)
+    stop_e, _ = _resolve_blockings(
+        east_x, east_y, xs[~is_east], ys[~is_east], in_band, 1.0 / math.sqrt(params.lam)
+    )
     band_stops = stop_e[in_band]
     finished = np.isfinite(band_stops)
     return band_stops[finished], int((~finished).sum())

@@ -141,9 +141,10 @@ def tie_heavy_grids(count):
         yield rng, (xs[is_east], ys[is_east], xs[~is_east], ys[~is_east])
 
 
-def resolve_all_by_reference(east_x, east_y, south_x, south_y, watch=None):
+def resolve_all_by_reference(east_x, east_y, south_x, south_y, watch=None, spacing=1.0):
     """resolve_blockings_reference in the place of _resolve_blockings: it
-    takes the `watch` mask and resolves every ray regardless."""
+    takes the `watch` mask and the seed spacing, and resolves every ray
+    regardless."""
     return resolve_blockings_reference(east_x, east_y, south_x, south_y)
 
 
@@ -413,6 +414,22 @@ class TestPlaneSimulator:
             window_height=side,
             margin=15.0,
             seed=seed,
+        )
+        lengths, censored = mc.plane_lengths(config)
+        ref_lengths, ref_censored = reference_plane_lengths(config)
+        assert lengths.tobytes() == ref_lengths.tobytes()
+        assert censored == ref_censored
+
+    @pytest.mark.parametrize("lam,side", [(0.3, 70.0), (3.0, 24.0)])
+    def test_plane_lengths_match_reference_at_other_intensities(self, lam, side):
+        # blocks and cells of 4 and 1 times the seed spacing 1/sqrt(lam),
+        # which is no longer a power of two
+        config = mc.PlaneConfig(
+            params=ModelParams(q=0.5, lam=lam),
+            window_width=side,
+            window_height=side,
+            margin=side / 4.0,
+            seed=14,
         )
         lengths, censored = mc.plane_lengths(config)
         ref_lengths, ref_censored = reference_plane_lengths(config)
