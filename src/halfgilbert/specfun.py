@@ -324,7 +324,8 @@ def hermite_fn(v: float, z: float) -> float:
 
     with 1/Gamma taken as zero at its poles, which reproduces the
     classical polynomials at integer v.  Raises DomainError for |z| > 4,
-    where the two terms cancel into wrong digits.
+    where the two exp(z^2)-sized terms cancel into wrong digits or
+    overflow.
     """
     v = _require_finite("v", v)
     z = _require_finite("z", z)
@@ -332,7 +333,8 @@ def hermite_fn(v: float, z: float) -> float:
         raise DomainError(f"Hermite order must exceed -1, got v={v!r}")
     if abs(z) > _KUMMER_Z_MAX:
         raise DomainError(
-            f"|z| = {abs(z)!r} exceeds {_KUMMER_Z_MAX}; the 1F1 terms cancel there"
+            f"|z| = {abs(z)!r} exceeds {_KUMMER_Z_MAX}; the 1F1 terms lose "
+            "accuracy there"
         )
     z2 = z * z
     c1 = _reciprocal_gamma((1.0 - v) / 2.0)
@@ -397,4 +399,3 @@ def _hermite_laplace(v: float, z: float) -> float:
         lambda s: s ** (alpha - 1.0) * g(s), delta, upper, abs_tol=1e-14, rel_tol=5e-14
     )
     return (head + rest) / gamma_fn(alpha)
-

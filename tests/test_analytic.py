@@ -72,7 +72,8 @@ class TestJIntegral:
     def test_quadrature_oracle(self, t, q):
         # truncating at u = t + 9 leaves an erfc tail below 3e-18
         oracle, _ = quad(
-            lambda u: erfc_fn((u - t) / SQRT2) * hermite_j_oracle(q - 1.0, (u - t) / SQRT2),
+            lambda u: erfc_fn((u - t) / SQRT2)
+            * hermite_j_oracle(q - 1.0, (u - t) / SQRT2),
             0.0,
             t + 9.0,
             limit=200,

@@ -50,7 +50,7 @@ def hermite_fn_integral(v: float, z: float) -> float:
                  * integral_0^inf exp(-u^2) u^v cos(2 z u - pi v / 2) du,
 
     valid for v > -1: the oracle that sf.hermite_fn, a two-term 1F1
-    combination, must match.  The two share no code beyond adaptive_quad.
+    combination, must match.  The two share no code.
     The integral is truncated at U = 12, where the remainder is bounded by
     exp(-U^2), about 4e-63.  For v < 0 the u^v endpoint singularity on
     [0, 1] is removed exactly by the substitution u = w^(1/(v+1)), under
