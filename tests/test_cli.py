@@ -225,6 +225,83 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, code, stderr",
+        [
+            ("moments --q 1.2", 2, "q must lie strictly inside (0, 1), got 1.2"),
+            ("moments --q 0", 2, "q must lie strictly inside (0, 1), got 0.0"),
+            ("moments --q 0.4 --lambda 0", 2, "lam must be positive, got 0.0"),
+            ("moments --q 0.4 --lambda nan", 2, "lam must be positive, got nan"),
+            ("moments --q 0.4 --lambda inf", 2, "lam must be finite, got inf"),
+            ("moments --q 0.4 --method mc --samples 0", 2,
+             "samples must be at least 1"),
+            ("moments --q 0.4 --method mc --samples 10 --seed -1", 2,
+             "seed must fit in 64 unsigned bits"),
+            ("moments --q 0.4 --method mc --samples 10 --seed 18446744073709551616",
+             2, "seed must fit in 64 unsigned bits"),
+            ("moments --q 0.4 --max-order 0", 2, "--max-order must lie in 1..6, got 0"),
+            ("moments --q 0.4 --method mgf --max-order 7", 2,
+             "--max-order must lie in 1..6, got 7"),
+            ("moments --q 0.4 --max-order 5", 2,
+             "closed-form moments exist for orders 1..4 only; "
+             "use --method mgf or mc for higher orders"),
+            ("mgf --q 1.5", 2, "q must lie strictly inside (0, 1), got 1.5"),
+            ("mgf --q 0.4 --y -1", 2, "--y must be nonnegative, got -1.0"),
+            ("mgf --q 0.4 --y nan", 2, "--y must be nonnegative, got nan"),
+            ("mgf --q 0.4 --y inf", 2, "--y, --t-min and --t-max must be finite"),
+            ("mgf --q 0.4 --steps 0", 2, "--steps must be at least 1, got 0"),
+            ("mgf --q 0.4 --t-min nan", 2, "--y, --t-min and --t-max must be finite"),
+            ("mgf --q 0.4 --t-max inf", 2, "--y, --t-min and --t-max must be finite"),
+            ("mgf --q 0.4 --t-min 1 --t-max -1", 2,
+             "--t-max must not be below --t-min"),
+            ("simulate --q -0.1", 2, "q must lie strictly inside (0, 1), got -0.1"),
+            ("simulate --q 0.4 --samples 10 --lambda -2", 2,
+             "lam must be positive, got -2.0"),
+            ("simulate --q 0.4 --samples 10 --lambda inf", 2,
+             "lam must be finite, got inf"),
+            ("simulate --q 0.4 --samples 0", 2, "samples must be at least 1"),
+            ("simulate --q 0.4 --samples 10 --seed -1", 2,
+             "seed must fit in 64 unsigned bits"),
+            ("simulate --q 0.4 --samples 10 --seed 18446744073709551616", 2,
+             "seed must fit in 64 unsigned bits"),
+            ("simulate --q 0.4 --samples 10 --workers 0", 2,
+             "workers must be at least 1"),
+            ("simulate --q 0.4 --engine plane --lambda nan", 2,
+             "lam must be positive, got nan"),
+            ("simulate --q 0.4 --engine plane --window-w 0", 2,
+             "window dimensions must be positive"),
+            ("simulate --q 0.4 --engine plane --window-h -5", 2,
+             "window dimensions must be positive"),
+            ("simulate --q 0.4 --engine plane --window-w inf", 2,
+             "window dimensions must be finite"),
+            ("simulate --q 0.4 --engine plane --margin -1", 2,
+             "margin must be nonnegative"),
+            ("simulate --q 0.4 --engine plane --margin nan", 2,
+             "margin must be nonnegative"),
+            ("simulate --q 0.4 --engine plane --margin 30", 2,
+             "margin band is empty: margin must stay below half the smaller "
+             "window dimension"),
+            ("simulate --q 0.4 --engine plane --seed -1", 2,
+             "seed must fit in 64 unsigned bits"),
+            ("simulate --q 0.4 --engine plane --seed 18446744073709551616", 2,
+             "seed must fit in 64 unsigned bits"),
+            ("validate --q 1.0", 2, "q must lie strictly inside (0, 1), got 1.0"),
+            ("validate --q 0.4 --samples 0", 2, "samples must be at least 1"),
+            ("validate --q 0.4 --samples 10 --seed -1", 2,
+             "seed must fit in 64 unsigned bits"),
+            ("validate --q 0.97", 3,
+             "q=0.97 is too close to 1 to validate: the moments grow without "
+             "bound as q -> 1 (the Gamma((1-q)/2) factor diverges) and "
+             "finite-difference and Monte Carlo layers degrade together; "
+             "validated range is q <= 0.95"),
+        ],
+    )
+    def test_exit_code_and_exact_stderr(self, argv, code, stderr, capsys):
+        assert cli.main(argv.split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {stderr}\n"
+
 
 class TestValidate:
     def test_passes_at_default_q(self):
