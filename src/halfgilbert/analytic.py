@@ -314,24 +314,32 @@ def mgf_special_half(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _rescale(value: float, lam: float, k: int) -> float:
+    """An order-k moment at unit intensity, value, rescaled to intensity lam:
+    value * lam**(-k/2).  Raises DomainError when the factor or the result
+    overflows a float."""
+    try:
+        scaled = value * lam ** (-0.5 * k)
+    except OverflowError:
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise DomainError(f"the order-{k} moment overflows a float at lam={lam!r}")
+    return scaled
+
+
 def closed_moments(
-    params: ModelParams,
-    orders: tuple[int, ...] = (1, 2, 3, 4),
-    ray: str = "east",
+    params: ModelParams, orders: tuple[int, ...] = (1, 2, 3, 4)
 ) -> MomentReport:
-    """Closed-form raw moments of terminal ray length for orders 1 to 4.
+    """Closed-form raw moments of the east ray's terminal length, orders 1 to 4.
 
     All four are polynomials in G = Gamma((1-q)/2) / Gamma(1-q/2).  A south
-    growing ray sees the marks inverted, so ray="south" evaluates the same
-    formulas at 1-q.
+    growing ray sees the marks inverted, so its moments are these at 1-q.
     """
-    if ray not in ("east", "south"):
-        raise ValueError(f"ray must be 'east' or 'south', got {ray!r}")
     if not orders:
         raise ValueError("orders must be non-empty")
     if any(k not in (1, 2, 3, 4) for k in orders):
         raise ValueError(f"closed moments exist for orders 1..4 only, got {orders!r}")
-    q = params.q if ray == "east" else 1.0 - params.q
+    q = params.q
     G = gamma_fn((1.0 - q) / 2.0) / gamma_fn(1.0 - 0.5 * q)
     by_order = {
         1: G / _SQRT2,
@@ -346,7 +354,7 @@ def closed_moments(
         4: 8.0 * (1.0 + q + q * (1.0 + 2.0 * q) * G * G + 0.75 * q**3 * G**4),
     }
     entries = tuple(
-        MomentEntry(order=k, value=by_order[k] * params.lam ** (-0.5 * k), method="closed")
+        MomentEntry(order=k, value=_rescale(by_order[k], params.lam, k), method="closed")
         for k in sorted(set(orders))
     )
     return MomentReport(params=params, entries=entries)
@@ -444,13 +452,12 @@ def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
     entries = []
     for k in range(1, max_order + 1):
         value, uncertainty = _richardson_derivative(f, k, base_step)
-        scale = params.lam ** (-0.5 * k)
         entries.append(
             MomentEntry(
                 order=k,
-                value=value * scale,
+                value=_rescale(value, params.lam, k),
                 method="mgf-derivative",
-                std_error=uncertainty * scale,
+                std_error=_rescale(uncertainty, params.lam, k),
             )
         )
     return MomentReport(params=params, entries=tuple(entries))

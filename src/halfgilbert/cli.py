@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from . import montecarlo
 from .analytic import (
     RESIDUAL_TOL,
     ModelParams,
+    MomentEntry,
     integral_equation_residual,
     closed_moments,
     mgf,
@@ -88,11 +90,6 @@ def _emit(doc: dict, fmt: str, rows: str | None = None, table=None) -> None:
         table(doc)
 
 
-def _argument_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _params_doc(params: ModelParams) -> dict:
     return {"q": params.q, "lambda": params.lam}
 
@@ -110,36 +107,27 @@ def _moments_table(doc: dict) -> None:
 
 
 def cmd_moments(args) -> int:
-    # Only the constructors are guarded: NumericsError is a ValueError too,
-    # and a computation that raises it must still exit 3.
-    try:
-        params = ModelParams(q=args.q, lam=args.lam)
-        config = SimConfig(params=params, samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        return _argument_error(str(exc))
+    params = ModelParams(q=args.q, lam=args.lam)
+    config = SimConfig(params=params, samples=args.samples, seed=args.seed)
     if not 1 <= args.max_order <= 6:
-        return _argument_error(f"--max-order must lie in 1..6, got {args.max_order}")
+        raise ValueError(f"--max-order must lie in 1..6, got {args.max_order}")
     if args.method == "closed" and args.max_order > 4:
-        return _argument_error(
+        raise ValueError(
             "closed-form moments exist for orders 1..4 only; "
             "use --method mgf or mc for higher orders"
         )
     orders = range(1, args.max_order + 1)
     if args.method == "mc":
         stats = montecarlo.run_monte_carlo(config)
-        rows = [
-            (k, stats.raw_moments[k - 1], "monte-carlo", stats.std_errors[k - 1])
-            for k in orders
+        entries = [
+            MomentEntry(k, raw, "monte-carlo", err)
+            for k, raw, err in zip(orders, stats.raw_moments, stats.std_errors)
         ]
+    elif args.method == "closed":
+        entries = closed_moments(params, orders=tuple(orders)).entries
     else:
-        if args.method == "closed":
-            report = closed_moments(params, orders=tuple(orders))
-        else:
-            report = mgf_moments(params, max_order=args.max_order)
-        rows = [(e.order, e.value, e.method, e.std_error) for e in report.entries]
-    keys = ("order", "value", "method", "std_error")
-    entries = [dict(zip(keys, row)) for row in rows]
-    doc = {"params": _params_doc(params), "entries": entries}
+        entries = mgf_moments(params, max_order=args.max_order).entries
+    doc = {"params": _params_doc(params), "entries": [asdict(e) for e in entries]}
     _emit(doc, args.format, "entries", _moments_table)
     return 0
 
@@ -150,19 +138,16 @@ def cmd_moments(args) -> int:
 
 
 def cmd_mgf(args) -> int:
-    try:
-        ModelParams(q=args.q)
-    except ValueError as exc:
-        return _argument_error(str(exc))
+    ModelParams(q=args.q)
     # Written so that NaN fails every check.
     if not args.y >= 0.0:
-        return _argument_error(f"--y must be nonnegative, got {args.y}")
+        raise ValueError(f"--y must be nonnegative, got {args.y}")
     if args.steps < 1:
-        return _argument_error(f"--steps must be at least 1, got {args.steps}")
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if not all(map(math.isfinite, (args.y, args.t_min, args.t_max))):
-        return _argument_error("--y, --t-min and --t-max must be finite")
+        raise ValueError("--y, --t-min and --t-max must be finite")
     if args.t_max < args.t_min:
-        return _argument_error("--t-max must not be below --t-min")
+        raise ValueError("--t-max must not be below --t-min")
     if args.steps == 1:
         grid = [args.t_min]
     else:
@@ -186,27 +171,13 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        params = ModelParams(q=args.q, lam=args.lam)
-        if args.engine == "recursion":
-            config = SimConfig(
-                params=params, samples=args.samples, seed=args.seed, workers=args.workers
-            )
-        else:
-            config = PlaneConfig(
-                params=params,
-                window_width=args.window_w,
-                window_height=args.window_h,
-                margin=args.margin,
-                seed=args.seed,
-            )
-    except ValueError as exc:
-        return _argument_error(str(exc))
+    params = ModelParams(q=args.q, lam=args.lam)
     if args.engine == "recursion":
-        samples = draw_samples(config)
-        stats = montecarlo.stats_from_lengths(samples, config.seed)
-        if args.dump:
-            np.savetxt(args.dump, samples, fmt="%.17g")
+        config = SimConfig(
+            params=params, samples=args.samples, seed=args.seed, workers=args.workers
+        )
+        lengths = draw_samples(config)
+        stats = montecarlo.stats_from_lengths(lengths)
         # The worker count is deliberately not echoed: output is required
         # to be byte-identical for any --workers value.
         doc = {
@@ -216,10 +187,16 @@ def cmd_simulate(args) -> int:
             "seed": args.seed,
         }
     else:
+        config = PlaneConfig(
+            params=params,
+            window_width=args.window_w,
+            window_height=args.window_h,
+            margin=args.margin,
+            seed=args.seed,
+        )
         if args.dump:
             lengths, censored = montecarlo.plane_lengths(config)
-            stats = montecarlo.stats_from_lengths(lengths, config.seed, censored)
-            np.savetxt(args.dump, lengths, fmt="%.17g")
+            stats = montecarlo.stats_from_lengths(lengths, censored)
         else:
             stats = simulate_plane(config)
         doc = {
@@ -232,14 +209,14 @@ def cmd_simulate(args) -> int:
             "censored": stats.censored,
             "censored_warning": stats.censored_warning,
         }
+    if args.dump:
+        np.savetxt(args.dump, lengths, fmt="%.17g")
     doc.update(
-        {
-            "n": stats.n,
-            "mean": stats.mean,
-            "raw_moments": list(stats.raw_moments),
-            "std_errors": list(stats.std_errors),
-            "moment_sums": list(stats.moment_sums),
-        }
+        n=stats.n,
+        mean=stats.mean,
+        raw_moments=list(stats.raw_moments),
+        std_errors=list(stats.std_errors),
+        moment_sums=list(stats.moment_sums),
     )
     _emit(doc, "json")
     return 0
@@ -328,12 +305,7 @@ def _validation_table(doc: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = SimConfig(
-            params=ModelParams(q=args.q), samples=args.samples, seed=args.seed
-        )
-    except ValueError as exc:
-        return _argument_error(str(exc))
+    config = SimConfig(params=ModelParams(q=args.q), samples=args.samples, seed=args.seed)
     if args.q > _VALIDATE_Q_MAX:
         print(
             f"error: q={args.q} is too close to 1 to validate: the moments "
@@ -408,13 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericsError as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a bad argument, caught after its subclass
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

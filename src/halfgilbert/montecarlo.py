@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ModelParams
+from .errors import DomainError
 
 __all__ = [
     "CHUNK_SIZE",
@@ -114,7 +115,6 @@ class SimStats:
     mean: float
     raw_moments: tuple[float, ...]
     std_errors: tuple[float, ...]
-    seed: int
     censored: int = 0
     censored_warning: bool = False
 
@@ -186,47 +186,35 @@ def draw_samples(config: SimConfig) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def stats_from_lengths(lengths: np.ndarray, seed: int, censored: int = 0) -> SimStats:
+def stats_from_lengths(lengths: np.ndarray, censored: int = 0) -> SimStats:
     """SimStats of finished terminal lengths, plus `censored` rays that did
-    not finish; censored_warning is set when they exceed 1% of all rays."""
+    not finish; censored_warning is set when they exceed 1% of all rays.
+    Empty sums are 0.0, the moments are NaN without a length and the errors
+    without two; a power sum that overflows a float raises DomainError."""
     n = int(lengths.size)
     censored_warning = n + censored > 0 and censored / (n + censored) > 0.01
-    if n == 0:
-        nan = float("nan")
-        zeros = (0.0,) * _N_MOMENTS
-        nans = (nan,) * _N_MOMENTS
-        return SimStats(
-            n=0,
-            moment_sums=zeros,
-            mean=nan,
-            raw_moments=nans,
-            std_errors=nans,
-            seed=seed,
-            censored=censored,
-            censored_warning=censored_warning,
-        )
     # Power sums up to order 12: the standard error of the order-k raw
     # moment needs the order-2k sum.
     sums = []
     power = lengths.copy()
-    for _ in range(2 * _N_MOMENTS):
-        sums.append(float(power.sum()))
-        power = power * lengths
-    raw = [sums[k - 1] / n for k in range(1, _N_MOMENTS + 1)]
-    errs = []
-    for k in range(1, _N_MOMENTS + 1):
-        if n < 2:
-            errs.append(float("nan"))
-            continue
-        variance = max(sums[2 * k - 1] / n - raw[k - 1] ** 2, 0.0) * n / (n - 1)
-        errs.append(math.sqrt(variance / n))
+    with np.errstate(over="ignore"):
+        for _ in range(2 * _N_MOMENTS):
+            sums.append(float(power.sum()))
+            power = power * lengths
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(f"a power sum of {n} lengths overflows a float")
+    raw = [s / n if n else math.nan for s in sums[:_N_MOMENTS]]
+    errs = [math.nan] * _N_MOMENTS
+    if n > 1:
+        for k in range(1, _N_MOMENTS + 1):
+            variance = max(sums[2 * k - 1] / n - raw[k - 1] ** 2, 0.0) * n / (n - 1)
+            errs[k - 1] = math.sqrt(variance / n)
     return SimStats(
         n=n,
         moment_sums=tuple(sums[:_N_MOMENTS]),
         mean=raw[0],
         raw_moments=tuple(raw),
         std_errors=tuple(errs),
-        seed=seed,
         censored=censored,
         censored_warning=censored_warning,
     )
@@ -234,7 +222,7 @@ def stats_from_lengths(lengths: np.ndarray, seed: int, censored: int = 0) -> Sim
 
 def run_monte_carlo(config: SimConfig) -> SimStats:
     """SimStats over config.samples independent recursion draws."""
-    return stats_from_lengths(draw_samples(config), config.seed)
+    return stats_from_lengths(draw_samples(config))
 
 
 # ---------------------------------------------------------------------------
@@ -413,4 +401,4 @@ def simulate_plane(config: PlaneConfig) -> SimStats:
     counted as censored and excluded from the moments.
     """
     lengths, censored = plane_lengths(config)
-    return stats_from_lengths(lengths, config.seed, censored)
+    return stats_from_lengths(lengths, censored)

@@ -207,16 +207,6 @@ class TestClosedMoments:
         for k in range(1, 5):
             assert scaled.value(k) == base.value(k) * 2.0**-k
 
-    def test_duality_relabeling_exact(self):
-        # a south ray with H-probability p behaves like an east ray with
-        # 1 - p; computing the complement here exactly as the relabeling
-        # does makes the comparison bitwise
-        for p in (1.0 - 0.2, 1.0 - 0.4):
-            east = an.closed_moments(ModelParams(q=1.0 - p), ray="east")
-            south = an.closed_moments(ModelParams(q=p), ray="south")
-            for k in range(1, 5):
-                assert east.value(k) == south.value(k)
-
     def test_variance_positive_across_q(self):
         for q in np.linspace(0.05, 0.95, 17):
             report = an.closed_moments(ModelParams(q=float(q)), orders=(1, 2))
@@ -227,8 +217,17 @@ class TestClosedMoments:
             an.closed_moments(ModelParams(q=0.4), orders=(5,))
         with pytest.raises(ValueError):
             an.closed_moments(ModelParams(q=0.4), orders=())
-        with pytest.raises(ValueError):
-            an.closed_moments(ModelParams(q=0.4), ray="west")
+
+    def test_overflowing_intensity_scale_raises(self):
+        # the factor lam**(-3/2) overflows at lam = 1e-300; at lam = 1e-154
+        # the factor 1e308 is finite but the scaled fourth moment is not
+        with pytest.raises(DomainError):
+            an.closed_moments(ModelParams(q=0.4, lam=1e-300))
+        with pytest.raises(DomainError):
+            an.closed_moments(ModelParams(q=0.4, lam=1e-154), orders=(4,))
+        base = an.closed_moments(ModelParams(q=0.4)).value(4)
+        report = an.closed_moments(ModelParams(q=0.4, lam=1e-150), orders=(4,))
+        assert report.value(4) == base * 1e-150 ** -2.0
 
     def test_fourth_moment_coefficient_against_derivative_oracle(self):
         # the G^4 coefficient in the closed fourth moment is 3 q^3 / 4;
@@ -264,6 +263,15 @@ class TestMgfMoments:
             an.mgf_moments(ModelParams(q=0.4), max_order=7)
         with pytest.raises(ValueError):
             an.mgf_moments(ModelParams(q=0.4), max_order=0)
+
+    def test_overflowing_intensity_scale_raises(self):
+        with pytest.raises(DomainError):
+            an.mgf_moments(ModelParams(q=0.4, lam=1e-300), max_order=3)
+        # the factor 1e306 is finite, the scaled sixth moment is not
+        with pytest.raises(DomainError):
+            an.mgf_moments(ModelParams(q=0.4, lam=1e-102), max_order=6)
+        report = an.mgf_moments(ModelParams(q=0.4, lam=1e-102), max_order=5)
+        assert math.isfinite(report.value(5))
 
     def test_high_q_step_shrinks_to_fit_domain(self):
         # the stencil must stay clear of t*(0.9) ~ 0.129

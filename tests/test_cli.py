@@ -303,6 +303,35 @@ class TestArgumentErrors:
         assert captured.err == f"error: {stderr}\n"
 
 
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "moments --q 0.4 --lambda 1e-300 --method closed",
+            "moments --q 0.4 --lambda 1e-300 --method mgf",
+            "moments --q 0.4 --lambda 1e-102 --method mgf --max-order 6",
+            "moments --q 0.4 --method mc --lambda 1e-60 --samples 2000",
+            "simulate --q 0.4 --lambda 1e-60 --samples 2000",
+        ],
+    )
+    def test_tiny_intensity_exits_3(self, argv, capsys):
+        # lengths scale like lam**(-1/2); these raised OverflowError, or
+        # printed inf for the sixth moment at lam = 1e-102
+        assert cli.main(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical-domain error: ")
+        assert "overflows a float" in captured.err
+
+    def test_huge_plane_intensity_exits_2(self, capsys):
+        # numpy refuses the Poisson mean of the seed count
+        argv = ["simulate", "--engine", "plane", "--q", "0.4", "--lambda", "1e20"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lam value too large\n"
+
+
 class TestValidate:
     def test_passes_at_default_q(self):
         result = run_cli(

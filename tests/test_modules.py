@@ -41,3 +41,24 @@ def test_only_the_traced_laplace_route_crosses_a_module_boundary():
     assert private_cross_module_uses() == {
         ("analytic", "specfun", "_hermite_laplace")
     }
+
+
+
+def caught_names(handler):
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id for t in types if isinstance(t, ast.Name)}
+
+
+def test_bad_arguments_exit_from_main_alone():
+    # cli.main turns a ValueError into exit 2, after NumericsError (a
+    # ValueError too, exit 3); no command catches one of its own
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (main,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"]
+    handlers = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and "ValueError" in caught_names(node)
+    ]
+    assert len(handlers) == 1
+    assert any(node is handlers[0] for node in ast.walk(main))

@@ -8,6 +8,7 @@ import pytest
 from halfgilbert import analytic as an
 from halfgilbert import montecarlo as mc
 from halfgilbert.analytic import ModelParams
+from halfgilbert.errors import DomainError
 
 
 def sample_ray_length(params, rng) -> float:
@@ -310,6 +311,24 @@ class TestRunMonteCarlo:
         assert stats.raw_moments[1] >= stats.mean**2
         assert all(se > 0.0 for se in stats.std_errors)
         assert all(v > 0.0 for v in stats.raw_moments)
+
+    def test_stats_of_no_and_one_length(self):
+        # empty sums are 0.0, the moments need one length, the errors two
+        empty = mc.stats_from_lengths(np.array([]), censored=3)
+        assert (empty.n, empty.censored, empty.censored_warning) == (0, 3, True)
+        assert empty.moment_sums == (0.0,) * 6
+        assert all(math.isnan(v) for v in (empty.mean, *empty.raw_moments))
+        assert all(math.isnan(se) for se in empty.std_errors)
+        one = mc.stats_from_lengths(np.array([1.5]))
+        assert one.raw_moments == one.moment_sums == tuple(1.5**k for k in range(1, 7))
+        assert all(math.isnan(se) for se in one.std_errors)
+        two = mc.stats_from_lengths(np.array([1.0, 3.0]))
+        assert two.std_errors[0] == 1.0
+
+    def test_overflowing_power_sum_raises(self):
+        # 1e30**12 overflows a float; the order-12 sum feeds the order-6 error
+        with pytest.raises(DomainError):
+            mc.stats_from_lengths(np.array([1e30, 2e30]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
