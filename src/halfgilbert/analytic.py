@@ -315,9 +315,8 @@ def mgf_special_half(t: float) -> float:
 
 
 def _rescale(value: float, lam: float, k: int) -> float:
-    """An order-k moment at unit intensity, value, rescaled to intensity lam:
-    value * lam**(-k/2).  Raises DomainError when the factor or the result
-    overflows a float."""
+    """value * lam**(-k/2): an order-k moment at unit intensity taken to
+    intensity lam.  DomainError when the factor or the result overflows."""
     try:
         scaled = value * lam ** (-0.5 * k)
     except OverflowError:

@@ -212,11 +212,13 @@ def cmd_simulate(args) -> int:
     if args.dump:
         np.savetxt(args.dump, lengths, fmt="%.17g")
     doc.update(
-        n=stats.n,
-        mean=stats.mean,
-        raw_moments=list(stats.raw_moments),
-        std_errors=list(stats.std_errors),
-        moment_sums=list(stats.moment_sums),
+        {
+            "n": stats.n,
+            "mean": stats.mean,
+            "raw_moments": list(stats.raw_moments),
+            "std_errors": list(stats.std_errors),
+            "moment_sums": list(stats.moment_sums),
+        }
     )
     _emit(doc, "json")
     return 0
@@ -380,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except NumericsError as exc:
