@@ -43,7 +43,6 @@ def test_only_the_traced_laplace_route_crosses_a_module_boundary():
     }
 
 
-
 def caught_names(handler):
     types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
     return {t.id for t in types if isinstance(t, ast.Name)}
