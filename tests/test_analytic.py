@@ -1,5 +1,6 @@
 """Closed-form layer: K/J integrals, c(t), the MGF, moments, residuals."""
 
+import functools
 import math
 
 import numpy as np
@@ -351,15 +352,16 @@ def integral_equation_residual_reference(t, q):
     return an.mgf(t, 0.0, q) - rhs
 
 
-def mgf_moments_reference(q, max_order):
+def mgf_moments_reference(q, max_order, m=None):
+    """mgf_moments by the full-search rule: locate t* to 1e-6 at every q
+    and shrink the base step when the widest stencil, 3 h, passes 0.7 t*.
+    m(t) is M_t(0), by default one mgf call per stencil node."""
+    m = m or (lambda t: an.mgf(t, 0.0, q))
     base_step = 0.1
     t_star = an.mgf_divergence_point(q, resolution=1e-6)
     if math.isfinite(t_star) and 3.0 * base_step > 0.7 * t_star:
         base_step = 0.7 * t_star / 3.0
-    return [
-        _richardson_derivative(lambda t: an.mgf(t, 0.0, q), k, base_step)
-        for k in range(1, max_order + 1)
-    ]
+    return [_richardson_derivative(m, k, base_step) for k in range(1, max_order + 1)]
 
 
 class TestOneCoefficientPerT:
@@ -421,6 +423,29 @@ class TestOneCoefficientPerT:
             assert an.integral_equation_residual(
                 t, q
             ) == integral_equation_residual_reference(t, q)
+
+
+class TestPoleCheck:
+    """mgf_moments gives the full-search rule's floats at every q.
+
+    The base step shrinks when t* < 0.3 / 0.7 = 0.4286, which holds for q
+    above about 0.6933; [0.675, 0.715] brackets that threshold and the q
+    (about 0.6797) where t* = 0.45.
+    """
+
+    @staticmethod
+    def assert_full_search_rule(qs):
+        for q in qs:
+            report = an.mgf_moments(ModelParams(q=q), max_order=6)
+            m = functools.lru_cache(maxsize=None)(lambda t: an.mgf(t, 0.0, q))
+            for k, (value, uncertainty) in enumerate(mgf_moments_reference(q, 6, m), 1):
+                assert (report.value(k), std_error(report, k)) == (value, uncertainty), (q, k)
+
+    def test_across_q(self):
+        self.assert_full_search_rule(np.linspace(0.01, 0.99, 50).tolist())
+
+    def test_near_the_shrink_threshold(self):
+        self.assert_full_search_rule(np.linspace(0.675, 0.715, 200).tolist())
 
 
 class TestReportTypes:
