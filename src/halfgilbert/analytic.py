@@ -79,6 +79,12 @@ RESIDUAL_TOL = 1e-5
 _FD_BASE_STEP = 0.1
 _RICHARDSON_LEVELS = 4
 
+# The base step shrinks only when t* < 3 * _FD_BASE_STEP / 0.7 = 0.4286.
+# The denominator of c(t) equals erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2)
+# and H_q has one real zero for 0 < q < 1, so a positive denominator here
+# puts t* above this point and no search for it is needed.
+_POLE_PROBE_T = 0.45
+
 _METHODS = ("closed", "mgf-derivative", "monte-carlo")
 
 
@@ -444,9 +450,10 @@ def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
     # at t*(q) (0.13 at q = 0.9) or the difference quotients sample the
     # diverging branch and the extrapolation converges to garbage.
     base_step = _FD_BASE_STEP
-    t_star = mgf_divergence_point(q, resolution=1e-6)
-    if math.isfinite(t_star) and 3.0 * base_step > 0.7 * t_star:
-        base_step = 0.7 * t_star / 3.0
+    if _mgf_denominator(_POLE_PROBE_T, q) <= 0.0:
+        t_star = mgf_divergence_point(q, resolution=1e-6)
+        if math.isfinite(t_star) and 3.0 * base_step > 0.7 * t_star:
+            base_step = 0.7 * t_star / 3.0
 
     entries = []
     for k in range(1, max_order + 1):

@@ -108,7 +108,8 @@ def _moments_table(doc: dict) -> None:
 
 def cmd_moments(args) -> int:
     params = ModelParams(q=args.q, lam=args.lam)
-    config = SimConfig(params=params, samples=args.samples, seed=args.seed)
+    if args.method == "mc":
+        config = SimConfig(params=params, samples=args.samples, seed=args.seed)
     if not 1 <= args.max_order <= 6:
         raise ValueError(f"--max-order must lie in 1..6, got {args.max_order}")
     if args.method == "closed" and args.max_order > 4:
@@ -381,9 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NumericsError as exc:

@@ -65,6 +65,27 @@ class TestMoments:
         assert doc["params"]["q"] == 0.3
         assert [e["order"] for e in doc["entries"]] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "argv, mc_flags",
+        [
+            ("moments --q 0.4", "--samples 0"),
+            ("moments --q 0.4 --method mgf", "--seed -1"),
+        ],
+    )
+    def test_mc_only_flags_unread_by_other_methods(self, argv, mc_flags, capsys):
+        assert cli.main(argv.split()) == 0
+        expected = capsys.readouterr()
+        assert cli.main(f"{argv} {mc_flags}".split()) == 0
+        assert capsys.readouterr() == expected
+
+    def test_main_builds_no_parser_per_call(self, monkeypatch, capsys):
+        def rebuilt():
+            raise AssertionError("main built its parser again")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert cli.main(["moments", "--q", "0.4"]) == 0
+        assert capsys.readouterr().out.startswith("order")
+
 
 class TestMgfCurve:
     def test_three_point_grid(self):
