@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import reference
 from halfgilbert import analytic as an
 from halfgilbert import cli
 from halfgilbert import montecarlo as mc
@@ -176,6 +177,22 @@ class TestMgf:
         t_star = an.mgf_divergence_point(q)
         assert an.mgf(t_star - 1e-4, 0.0, q) > 1e3
         assert an.mgf(t_star + 1e-3, 0.0, q) < 0.0
+
+
+class TestReference:
+    """The 30-digit paper-form reference, against the package and MU_Q04."""
+
+    def test_moments_match_50_digit_values(self):
+        for k, (value, expected) in enumerate(zip(reference.moments(0.4), MU_Q04), 1):
+            assert rel(value, expected) < 1e-12, k
+
+    @pytest.mark.parametrize("t", [-2.0, -0.5, 0.5, 0.9])
+    def test_mgf_matches_package(self, t):
+        assert rel(an.mgf(t, 0.0, 0.4), float(reference.mgf(t, 0.0, 0.4))) < 1e-12
+
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.9])
+    def test_divergence_point(self, q):
+        assert abs(an.mgf_divergence_point(q) - float(reference.divergence_point(q))) < 1e-8
 
 
 class TestSpecialHalf:
