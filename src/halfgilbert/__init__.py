@@ -26,7 +26,6 @@ from .analytic import (
 from .errors import (
     DenominatorError,
     DomainError,
-    ExtrapolationError,
     NumericsError,
     PoleError,
     QuadratureConvergenceError,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DenominatorError",
     "DomainError",
-    "ExtrapolationError",
     "ModelParams",
     "MomentEntry",
     "MomentReport",

@@ -22,7 +22,8 @@ test suite and the validation report.
 
 c(t) depends on t alone, so M_t(.) at one t is a y-slice that shares one
 c(t) across every y: the residual probes evaluate many y per t through one
-slice, and `mgf_moments` evaluates each distinct stencil node once.
+slice.  `mgf_moments` needs no M_t at all beyond one check: its moments are
+the t-series of M_t(0), a quotient of two Hermite-function series.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DenominatorError, DomainError, ExtrapolationError
+from .errors import DenominatorError, DomainError, NumericsError
 from .specfun import (
     _hermite_laplace,
     adaptive_quad,
@@ -73,17 +74,6 @@ _DENOMINATOR_EPS = 1e-12
 
 # Largest ODE and integral-equation residual the validation verdict accepts.
 RESIDUAL_TOL = 1e-5
-
-# Derivative moments use central stencils with steps _FD_BASE_STEP / 2**i
-# for i < _RICHARDSON_LEVELS, combined by Richardson extrapolation.
-_FD_BASE_STEP = 0.1
-_RICHARDSON_LEVELS = 4
-
-# The base step shrinks only when t* < 3 * _FD_BASE_STEP / 0.7 = 0.4286.
-# The denominator of c(t) equals erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2)
-# and H_q has one real zero for 0 < q < 1, so a positive denominator here
-# puts t* above this point and no search for it is needed.
-_POLE_PROBE_T = 0.45
 
 _METHODS = ("closed", "mgf-derivative", "monte-carlo")
 
@@ -365,108 +355,61 @@ def closed_moments(
     return MomentReport(params=params, entries=entries)
 
 
-# Symmetric central-difference stencils with O(h^2) truncation error,
-# as (offset, coefficient) pairs; divide by h**order.
-_FD_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-    5: ((-3, -0.5), (-2, 2.0), (-1, -2.5), (1, 2.5), (2, -2.0), (3, 0.5)),
-    6: ((-3, 1.0), (-2, -6.0), (-1, 15.0), (0, -20.0), (1, 15.0), (2, -6.0), (3, 1.0)),
-}
+def _hermite_series(nu: float, n: int) -> list[float]:
+    """Coefficients of t^0 .. t^(n-1) in H_nu(-t/sqrt(2)).
 
-
-def _richardson_derivative(f, order: int, base_step: float) -> tuple[float, float]:
-    """k-th derivative of f at 0 by stencils on base_step, base_step/2, ...
-    plus Richardson extrapolation.
-
-    Returns (value, uncertainty), the uncertainty being the difference of
-    the two deepest extrapolants.  Raises ExtrapolationError when the
-    extrapolation diagonal stops contracting by a wide margin, which
-    signals that the step sizes are unusable for this function.
+    H_nu' = 2 nu H_(nu-1) and H_mu(0) = 2^mu sqrt(pi) / Gamma((1-mu)/2) give
+    2^nu sqrt(pi) (-1/sqrt(2))^k nu (nu-1) ... (nu-k+1) / (k! Gamma((1-nu+k)/2)).
     """
-    stencil = _FD_STENCILS[order]
-    levels = _RICHARDSON_LEVELS
-    estimates = []
-    max_abs_f = 0.0
-    for i in range(levels):
-        h = base_step / 2.0**i
-        values = [(coeff, f(offset * h)) for offset, coeff in stencil]
-        max_abs_f = max(max_abs_f, max(abs(fv) for _, fv in values))
-        estimates.append(math.fsum(c * fv for c, fv in values) / h**order)
-    # Triangular Richardson table in powers of h^2.
-    table = [estimates[0]]
-    diffs: list[float] = []
-    for i in range(1, levels):
-        row = [estimates[i]]
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            row.append((factor * row[j - 1] - table[j - 1]) / (factor - 1.0))
-        diffs.append(abs(row[i] - table[i - 1]))
-        table = row
-    value = table[-1]
-    uncertainty = diffs[-1]
-    # Diverged: halving h should shrink the diagonal differences fast.  A
-    # final difference that fails to drop below half the best earlier one
-    # signals that the h^2 error model does not hold, unless it is merely
-    # the cancellation roundoff floor of the deepest stencil, which is
-    # bounded by eps * sum|coeffs| * max|f| / h_min^order.
-    h_min = base_step / 2.0 ** (levels - 1)
-    coeff_mass = sum(abs(c) for _, c in stencil)
-    roundoff_floor = 2.3e-16 * coeff_mass * max_abs_f / h_min**order
-    if (
-        len(diffs) >= 2
-        and diffs[-1] > 0.5 * min(diffs[:-1])
-        and diffs[-1] > max(50.0 * roundoff_floor, 1e-9 * (1.0 + abs(value)))
-    ):
-        raise ExtrapolationError(
-            f"Richardson levels stopped contracting for order {order}: "
-            f"diffs {['%.3e' % d for d in diffs]}"
+    coeffs = []
+    falling = 1.0
+    for k in range(n):
+        coeffs.append(
+            2.0**nu * _SQRT_PI * (-1.0 / _SQRT2) ** k * falling
+            / (math.factorial(k) * gamma_fn((1.0 - nu + k) / 2.0))
         )
-    return value, uncertainty
+        falling *= nu - k
+    return coeffs
 
 
 def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
-    """Raw moments mu_k = d^k/dt^k M_t(0) at t=0 for k = 1 .. max_order.
+    """Raw moments mu_k = d^k/dt^k M_t(0) at t=0 for k = 1 .. max_order <= 6.
 
-    Derivatives are taken numerically (central stencils plus Richardson
-    extrapolation), so this path is independent of the closed-form moment
-    expressions and works to order 6.  Stencil nodes of different orders
-    and levels coincide (2 h_i = h_{i-1} exactly), and each distinct node
-    is evaluated once per call.
+    The denominator of c(t) equals erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2),
+    so M_t(0) = 1 + sqrt(2) t H_(q-1)(-t/sqrt(2)) / H_q(-t/sqrt(2)), and
+    mu_k = k! sqrt(2) [t^(k-1)] of that quotient: one division of two power
+    series whose coefficients are gamma ratios.  This path is independent of
+    the closed-form moment expressions and has no truncation error.
+
+    The quotient comes from the identity, not from the paper form of c(t), so
+    one M(h) is evaluated as a check, at h well inside the pole t*, which the
+    ratio of the last two coefficients estimates; the two must agree to 1e-6
+    relative to M(h) - 1, or NumericsError is raised.
     """
     if not 1 <= max_order <= 6:
         raise ValueError(f"max_order must lie in [1, 6], got {max_order!r}")
     q = params.q
-    values: dict[float, float] = {}
-
-    def f(t: float) -> float:
-        if t not in values:
-            values[t] = mgf(t, 0.0, q)
-        return values[t]
-
-    # The widest stencil reaches 3h, which must stay clear of the MGF pole
-    # at t*(q) (0.13 at q = 0.9) or the difference quotients sample the
-    # diverging branch and the extrapolation converges to garbage.
-    base_step = _FD_BASE_STEP
-    if _mgf_denominator(_POLE_PROBE_T, q) <= 0.0:
-        t_star = mgf_divergence_point(q, resolution=1e-6)
-        if math.isfinite(t_star) and 3.0 * base_step > 0.7 * t_star:
-            base_step = 0.7 * t_star / 3.0
-
-    entries = []
-    for k in range(1, max_order + 1):
-        value, uncertainty = _richardson_derivative(f, k, base_step)
-        entries.append(
-            MomentEntry(
-                order=k,
-                value=_rescale(value, params.lam, k),
-                method="mgf-derivative",
-                std_error=_rescale(uncertainty, params.lam, k),
-            )
+    num = _hermite_series(q - 1.0, 6)
+    den = _hermite_series(q, 6)
+    c: list[float] = []
+    for k in range(6):
+        c.append((num[k] - math.fsum(c[j] * den[k - j] for j in range(k))) / den[0])
+    h = min(0.05, abs(c[4] / c[5]) / 16.0)
+    m = mgf(h, 0.0, q)
+    s = 1.0 + _SQRT2 * h * math.fsum(ck * h**k for k, ck in enumerate(c))
+    if not abs(m - s) <= 1e-6 * abs(m - 1.0):
+        raise NumericsError(
+            f"moment series gives M({h!r}) = {s!r} but the MGF is {m!r} at q={q}"
         )
-    return MomentReport(params=params, entries=tuple(entries))
+    entries = tuple(
+        MomentEntry(
+            order=k,
+            value=_rescale(math.factorial(k) * _SQRT2 * c[k - 1], params.lam, k),
+            method="mgf-derivative",
+        )
+        for k in range(1, max_order + 1)
+    )
+    return MomentReport(params=params, entries=entries)
 
 
 # ---------------------------------------------------------------------------

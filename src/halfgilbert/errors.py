@@ -23,7 +23,3 @@ class DomainError(NumericsError):
 
 class DenominatorError(NumericsError):
     """A denominator came too close to zero to divide safely."""
-
-
-class ExtrapolationError(NumericsError):
-    """Richardson extrapolation levels failed to contract."""

@@ -11,8 +11,8 @@ import reference
 from halfgilbert import analytic as an
 from halfgilbert import cli
 from halfgilbert import montecarlo as mc
-from halfgilbert.analytic import ModelParams, MomentEntry, _richardson_derivative
-from halfgilbert.errors import DenominatorError, DomainError, ExtrapolationError
+from halfgilbert.analytic import ModelParams, MomentEntry
+from halfgilbert.errors import DenominatorError, DomainError, NumericsError
 from halfgilbert.specfun import adaptive_quad, erfc_fn, hermite_fn
 from test_specfun import hermite_j_oracle
 
@@ -38,6 +38,79 @@ def std_error(report, order):
     """The std_error of a MomentReport's entry of the given order."""
     (entry,) = (e for e in report.entries if e.order == order)
     return entry.std_error
+
+
+# The finite-difference derivative that mgf_moments used before it divided
+# power series.  It differentiates the evaluated M_t(0), which is c(t) at
+# finite t, so it ties that route to the series moments.
+
+
+class ExtrapolationError(Exception):
+    """Richardson extrapolation levels failed to contract."""
+
+
+_RICHARDSON_LEVELS = 4
+
+# Symmetric central-difference stencils with O(h^2) truncation error,
+# as (offset, coefficient) pairs; divide by h**order.
+_FD_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+    5: ((-3, -0.5), (-2, 2.0), (-1, -2.5), (1, 2.5), (2, -2.0), (3, 0.5)),
+    6: ((-3, 1.0), (-2, -6.0), (-1, 15.0), (0, -20.0), (1, 15.0), (2, -6.0), (3, 1.0)),
+}
+
+
+def _richardson_derivative(f, order: int, base_step: float) -> tuple[float, float]:
+    """k-th derivative of f at 0 by stencils on base_step, base_step/2, ...
+    plus Richardson extrapolation.
+
+    Returns (value, uncertainty), the uncertainty being the difference of
+    the two deepest extrapolants.  Raises ExtrapolationError when the
+    extrapolation diagonal stops contracting by a wide margin, which
+    signals that the step sizes are unusable for this function.
+    """
+    stencil = _FD_STENCILS[order]
+    levels = _RICHARDSON_LEVELS
+    estimates = []
+    max_abs_f = 0.0
+    for i in range(levels):
+        h = base_step / 2.0**i
+        values = [(coeff, f(offset * h)) for offset, coeff in stencil]
+        max_abs_f = max(max_abs_f, max(abs(fv) for _, fv in values))
+        estimates.append(math.fsum(c * fv for c, fv in values) / h**order)
+    # Triangular Richardson table in powers of h^2.
+    table = [estimates[0]]
+    diffs: list[float] = []
+    for i in range(1, levels):
+        row = [estimates[i]]
+        for j in range(1, i + 1):
+            factor = 4.0**j
+            row.append((factor * row[j - 1] - table[j - 1]) / (factor - 1.0))
+        diffs.append(abs(row[i] - table[i - 1]))
+        table = row
+    value = table[-1]
+    uncertainty = diffs[-1]
+    # Diverged: halving h should shrink the diagonal differences fast.  A
+    # final difference that fails to drop below half the best earlier one
+    # signals that the h^2 error model does not hold, unless it is merely
+    # the cancellation roundoff floor of the deepest stencil, which is
+    # bounded by eps * sum|coeffs| * max|f| / h_min^order.
+    h_min = base_step / 2.0 ** (levels - 1)
+    coeff_mass = sum(abs(c) for _, c in stencil)
+    roundoff_floor = 2.3e-16 * coeff_mass * max_abs_f / h_min**order
+    if (
+        len(diffs) >= 2
+        and diffs[-1] > 0.5 * min(diffs[:-1])
+        and diffs[-1] > max(50.0 * roundoff_floor, 1e-9 * (1.0 + abs(value)))
+    ):
+        raise ExtrapolationError(
+            f"Richardson levels stopped contracting for order {order}: "
+            f"diffs {['%.3e' % d for d in diffs]}"
+        )
+    return value, uncertainty
 
 
 class TestModelParams:
@@ -249,26 +322,39 @@ class TestClosedMoments:
 
     def test_fourth_moment_coefficient_against_derivative_oracle(self):
         # the G^4 coefficient in the closed fourth moment is 3 q^3 / 4;
-        # the derivative route is independent of the closed expressions
+        # the series route is independent of the closed expressions
         for q in np.linspace(0.1, 0.9, 9):
             params = ModelParams(q=float(q))
             closed = an.closed_moments(params, orders=(4,)).value(4)
             derived = an.mgf_moments(params, max_order=4).value(4)
-            assert rel(closed, derived) < 1e-5, q
+            assert rel(closed, derived) < 1e-13, q
 
 
 class TestMgfMoments:
     def test_q04_against_references(self):
+        # the series has no truncation error, so it reports none
         report = an.mgf_moments(ModelParams(q=0.4), max_order=6)
-        bounds = (1e-7, 1e-7, 1e-7, 1e-7, 1e-6, 1e-6)
         for k in range(1, 7):
-            assert rel(report.value(k), MU_Q04[k - 1]) < bounds[k - 1]
-            assert std_error(report, k) is not None and std_error(report, k) >= 0.0
+            assert rel(report.value(k), MU_Q04[k - 1]) < 1e-12
+            assert std_error(report, k) is None
+
+    @pytest.mark.parametrize("q", [1e-6, 0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+    def test_against_30_digit_reference(self, q):
+        # the reference takes K and J, the series the H_q identity
+        report = an.mgf_moments(ModelParams(q=q), max_order=6)
+        for k, expected in enumerate(reference.moments(q), 1):
+            assert rel(report.value(k), expected) < 1e-13, k
+
+    def test_tiny_q_order_five(self):
+        # the finite-difference route printed 18.799825980235877 +- 2.1e-7
+        # here, 6.2e-7 from the reference 18.799825356209781
+        report = an.mgf_moments(ModelParams(q=1e-6), max_order=5)
+        assert rel(report.value(5), reference.moments(1e-6)[4]) < 1e-13
 
     def test_matches_closed_at_half(self):
         closed = an.closed_moments(ModelParams(q=0.5), orders=(1,))
         derived = an.mgf_moments(ModelParams(q=0.5), max_order=1)
-        assert rel(derived.value(1), closed.value(1)) < 1e-6
+        assert rel(derived.value(1), closed.value(1)) < 1e-13
 
     def test_intensity_scaling_exact(self):
         base = an.mgf_moments(ModelParams(q=0.4, lam=1.0), max_order=3)
@@ -291,12 +377,27 @@ class TestMgfMoments:
         report = an.mgf_moments(ModelParams(q=0.4, lam=1e-102), max_order=5)
         assert math.isfinite(report.value(5))
 
-    def test_high_q_step_shrinks_to_fit_domain(self):
-        # the stencil must stay clear of t*(0.9) ~ 0.129
-        report = an.mgf_moments(ModelParams(q=0.9), max_order=2)
-        closed = an.closed_moments(ModelParams(q=0.9), orders=(1, 2))
-        assert rel(report.value(1), closed.value(1)) < 1e-6
-        assert rel(report.value(2), closed.value(2)) < 1e-6
+    def test_high_q_matches_closed(self):
+        # the pole t*(0.9) ~ 0.129 lies close to 0
+        report = an.mgf_moments(ModelParams(q=0.9), max_order=4)
+        closed = an.closed_moments(ModelParams(q=0.9))
+        for k in range(1, 5):
+            assert rel(report.value(k), closed.value(k)) < 1e-13
+
+    def test_series_checked_against_the_evaluated_mgf(self, monkeypatch):
+        # the t^1 coefficient of H_(q-1) off by 1e-3 moves S(h) from M(h)
+        # by more than 1e-6 of M(h) - 1
+        original = an._hermite_series
+
+        def perturbed(nu, n):
+            coeffs = original(nu, n)
+            if nu < 0.0:
+                coeffs[1] *= 1.0 + 1e-3
+            return coeffs
+
+        monkeypatch.setattr(an, "_hermite_series", perturbed)
+        with pytest.raises(NumericsError, match="moment series"):
+            an.mgf_moments(ModelParams(q=0.4), max_order=1)
 
     def test_divergence_detector(self):
         step = lambda t: 1.0 if t >= 0.03 else 0.0
@@ -344,8 +445,8 @@ class TestResiduals:
         assert worst < 1e-6
 
 # References on the per-call path: one mgf(t, y, q) call, and so one c(t),
-# per evaluated point.  Production shares c(t) across y and evaluates each
-# stencil node once, and must give the same floats.
+# per evaluated point.  Production shares c(t) across y and must give the
+# same floats.
 
 
 def ode_residual_reference(t, y, q, h):
@@ -370,9 +471,10 @@ def integral_equation_residual_reference(t, q):
 
 
 def mgf_moments_reference(q, max_order, m=None):
-    """mgf_moments by the full-search rule: locate t* to 1e-6 at every q
-    and shrink the base step when the widest stencil, 3 h, passes 0.7 t*.
-    m(t) is M_t(0), by default one mgf call per stencil node."""
+    """Moments as Richardson derivatives of M_t(0): locate t* to 1e-6 and
+    shrink the base step when the widest stencil, 3 h, passes 0.7 t*.
+    m(t) is M_t(0), by default one mgf call per stencil node.  Returns
+    (value, uncertainty) per order."""
     m = m or (lambda t: an.mgf(t, 0.0, q))
     base_step = 0.1
     t_star = an.mgf_divergence_point(q, resolution=1e-6)
@@ -409,25 +511,16 @@ class TestOneCoefficientPerT:
         assert len(c_calls) == expected
 
     def test_mgf_moments_computes_c_once_per_distinct_node(self, c_calls):
-        # offsets +-1, +-2, +-3 on four halving levels give 18 distinct
-        # nonzero nodes; t = 0 needs no c
+        # the series needs no c; its one check evaluates M at one node
         an.mgf_moments(ModelParams(q=0.4), max_order=6)
-        assert len(c_calls) == 18
-        assert len(set(c_calls)) == 18
+        assert len(c_calls) == 1
 
     def test_validation_reuses_the_ode_probes_m(self, c_calls):
-        # 18 stencil nodes, 12 ODE points and 4 integral-equation t; the
-        # ODE normaliser reads the M_t(y) its probe computed
+        # 1 series check, 12 ODE points and 4 integral-equation t; the ODE
+        # normaliser reads the M_t(y) its probe computed
         config = mc.SimConfig(params=ModelParams(q=0.4), samples=2_000, seed=1)
         cli._validation_doc(config)
-        assert len(c_calls) == 34
-
-    @pytest.mark.parametrize("q", [0.05, 0.4, 0.9, 0.95])
-    def test_mgf_moments_bit_identical_to_per_call_path(self, q):
-        report = an.mgf_moments(ModelParams(q=q), max_order=6)
-        for k, (value, uncertainty) in enumerate(mgf_moments_reference(q, 6), 1):
-            assert report.value(k) == value
-            assert std_error(report, k) == uncertainty
+        assert len(c_calls) == 17
 
     @pytest.mark.parametrize("q", [0.05, 0.4, 0.9, 0.95])
     def test_residuals_bit_identical_to_per_call_path(self, q):
@@ -442,29 +535,22 @@ class TestOneCoefficientPerT:
             ) == integral_equation_residual_reference(t, q)
 
 
-class TestPoleCheck:
-    """mgf_moments gives the full-search rule's floats at every q.
+class TestDerivativeOracle:
+    """The series against Richardson derivatives of the evaluated M_t(0).
 
-    The base step shrinks when t* < 0.3 / 0.7 = 0.4286, which holds for q
-    above about 0.6933; [0.675, 0.715] brackets that threshold and the q
-    (about 0.6797) where t* = 0.45.
+    The bounds are about twice the worst deviations over these q: 2.5e-9 at
+    orders 1-2, 1.0e-6 at orders 3-4 and 6.5e-5 at orders 5-6, all of them
+    the finite differences' own error.
     """
 
-    @staticmethod
-    def assert_full_search_rule(qs):
-        for q in qs:
-            report = an.mgf_moments(ModelParams(q=q), max_order=6)
-            m = functools.lru_cache(maxsize=None)(lambda t: an.mgf(t, 0.0, q))
-            reference = mgf_moments_reference(q, 6, m)
-            for k, (value, uncertainty) in enumerate(reference, 1):
-                assert report.value(k) == value, (q, k)
-                assert std_error(report, k) == uncertainty, (q, k)
+    BOUNDS = (5e-9, 5e-9, 2e-6, 2e-6, 1.3e-4, 1.3e-4)
 
     def test_across_q(self):
-        self.assert_full_search_rule(np.linspace(0.01, 0.99, 50).tolist())
-
-    def test_near_the_shrink_threshold(self):
-        self.assert_full_search_rule(np.linspace(0.675, 0.715, 200).tolist())
+        for q in np.linspace(0.01, 0.99, 50).tolist():
+            report = an.mgf_moments(ModelParams(q=q), max_order=6)
+            m = functools.lru_cache(maxsize=None)(lambda t: an.mgf(t, 0.0, q))
+            for k, (value, _) in enumerate(mgf_moments_reference(q, 6, m), 1):
+                assert rel(value, report.value(k)) < self.BOUNDS[k - 1], (q, k)
 
 
 class TestReportTypes:

@@ -1,11 +1,13 @@
 """Package layout: modules do not reach into each other's private helpers."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import halfgilbert
 
 PACKAGE = Path(halfgilbert.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def private_cross_module_uses():
@@ -61,3 +63,31 @@ def test_bad_arguments_exit_from_main_alone():
     ]
     assert len(handlers) == 1
     assert any(node is handlers[0] for node in ast.walk(main))
+
+
+def tracer_targets():
+    """(module, name) for every function perfbench/tracer.py's TARGETS names,
+    read from its source so that a missing name fails here, not at Tracer()."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    return [
+        (module.id, name.value)
+        for module, names in zip(targets.keys, targets.values)
+        for name in names.elts
+    ]
+
+
+def test_every_traced_name_exists():
+    targets = tracer_targets()
+    assert len(targets) == 18
+    missing = [
+        (module, name)
+        for module, name in targets
+        if not callable(getattr(importlib.import_module(f"halfgilbert.{module}"), name, None))
+    ]
+    assert missing == []
