@@ -25,8 +25,9 @@ mp.mp.dps = 30
 RADIUS_FRACTION = mp.mpf(1) / 3
 NODES = 64
 
-# The paper form cancels at scale e^(|t|^2/2) for complex t; past |t| = 5
-# (where the package stops too) 30 digits no longer cover the cancellation.
+# Where t* lies past T_LIMIT (at tiny q), the circle's radius is T_LIMIT / 3:
+# the paper form cancels at scale e^(|t|^2/2) for complex t, so a wider
+# circle costs digits.  The package's own domain ends at |t| = 5 too.
 T_LIMIT = 5
 
 

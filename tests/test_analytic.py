@@ -40,9 +40,8 @@ def std_error(report, order):
     return entry.std_error
 
 
-# The finite-difference derivative that mgf_moments used before it divided
-# power series.  It differentiates the evaluated M_t(0), which is c(t) at
-# finite t, so it ties that route to the series moments.
+# Richardson derivatives of the evaluated M_t(0), which goes through c(t) at
+# finite t: the oracle that ties that route to the series moments.
 
 
 class ExtrapolationError(Exception):
