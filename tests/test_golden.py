@@ -4,14 +4,17 @@ Each case in golden/cases.json is an argv and its exit code; golden/<name>.out
 holds the stdout it printed when recorded.  The files pin this platform's
 libm: exp, erfc, log and friends may round differently in the last bit on
 another platform, and the %.17g digits printed with them.  When a change of
-output is intended, re-record with
+output is intended, re-record the affected cases with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+or every case by naming none.  An unknown name records nothing and exits 1.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,7 +40,11 @@ def test_stdout_matches_golden(name):
 
 
 if __name__ == "__main__":
-    for name, case in CASES.items():
-        case["exit"], stdout = run(case["argv"])
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case: {', '.join(unknown)}")
+    for name in names:
+        CASES[name]["exit"], stdout = run(CASES[name]["argv"])
         (GOLDEN / f"{name}.out").write_text(stdout)
     (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
