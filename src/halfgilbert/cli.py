@@ -313,8 +313,8 @@ def cmd_validate(args) -> int:
         print(
             f"error: q={args.q} is too close to 1 to validate: the moments "
             f"grow without bound as q -> 1 (the Gamma((1-q)/2) factor "
-            f"diverges) and finite-difference and Monte Carlo layers degrade "
-            f"together; validated range is q <= {_VALIDATE_Q_MAX}",
+            f"diverges) and the Monte Carlo layer degrades with them; "
+            f"validated range is q <= {_VALIDATE_Q_MAX}",
             file=sys.stderr,
         )
         return 3

@@ -313,8 +313,8 @@ class TestArgumentErrors:
             ("validate --q 0.97", 3,
              "q=0.97 is too close to 1 to validate: the moments grow without "
              "bound as q -> 1 (the Gamma((1-q)/2) factor diverges) and "
-             "finite-difference and Monte Carlo layers degrade together; "
-             "validated range is q <= 0.95"),
+             "the Monte Carlo layer degrades with them; validated range is "
+             "q <= 0.95"),
         ],
     )
     def test_exit_code_and_exact_stderr(self, argv, code, stderr, capsys):
