@@ -7,9 +7,11 @@ Everything is expressed through the moment generating function
 the expectation of exp(t X) where X is the horizontal distance still to be
 covered when the live zone's left boundary has height y; M_t(0) is the MGF
 of the terminal ray length itself.  The coefficient c(t) is fixed by the
-defining integral equation of the process, and evaluating it requires the
+defining integral equation of the process.  The paper writes it through the
 closed forms of two erfc-times-Hermite integrals (`k_integral`,
-`j_integral`).
+`j_integral`); their bracket equals erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) /
+sqrt(2), so c(t) = sqrt(2) t / H_q(-t/sqrt(2)), which is what is evaluated.
+K and J stay as the oracle of that identity.
 
 All formulas here are for unit seed intensity.  The public moment
 operations rescale by lam**(-k/2) for order k, which is exact: lengths in
@@ -62,12 +64,11 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(0.5 * math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Validated |t| domain for the MGF.  The closed forms are finite for all
-# real t, but exp(t^2/2)-scale factors inside c(t) cancel against each
-# other and digit loss grows past |t| ~ 5 (roughly two digits lost at the
-# boundary); c_coefficient refuses to evaluate beyond it.
+# Validated |t| domain for the MGF; c_coefficient refuses to evaluate
+# beyond it.  The bound was set by the paper form of c(t), which cancels at
+# scale exp(t^2/2); the H_q form has no such cancellation, and the bound
+# stays only until the outputs past it are pinned against a reference.
 T_MAX = 5.0
 
 _DENOMINATOR_EPS = 1e-12
@@ -182,25 +183,13 @@ def j_integral(t: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mgf_denominator(t: float, q: float) -> float:
-    # H_{q-1} enters differenced residual probes pointwise, so it is taken
-    # from the cancellation-free Laplace route rather than the public
-    # Kummer-combination evaluator (which loses ~exp(z^2) eps absolute for
-    # z > 0); see specfun._hermite_laplace.
-    return _SQRT_2_OVER_PI * math.exp(-0.5 * t * t) * _hermite_laplace(
-        q - 1.0, -t / _SQRT2
-    ) - q * j_integral(t, q)
-
-
 def c_coefficient(t: float, q: float) -> float:
-    """Coefficient c(t) multiplying the Hermite branch of the MGF.
+    """Coefficient c(t) = sqrt(2) t / H_q(-t/sqrt(2)) multiplying the Hermite
+    branch of the MGF; the paper's form through K and J equals it (README).
 
-    c(t) = t erfc(-t/sqrt(2)) / [ sqrt(2/pi) exp(-t^2/2) H_{q-1}(-t/sqrt(2))
-                                  - q J(t, q) ].
-
-    Raises DomainError outside |t| <= T_MAX and DenominatorError when the
-    bracket falls below 1e-12 in magnitude.  The bracket has a simple zero
-    at t* = mgf_divergence_point(q), where the underlying expectation
+    Raises DomainError outside |t| <= T_MAX and DenominatorError when
+    H_q(-t/sqrt(2)) falls below 1e-12 in magnitude.  It has a simple zero at
+    t* = mgf_divergence_point(q), where the underlying expectation
     E[exp(t X)] stops being finite; past t* the closed form continues
     analytically but no longer represents a moment generating function.
     """
@@ -208,46 +197,42 @@ def c_coefficient(t: float, q: float) -> float:
     q = _check_q(q)
     if abs(t) > T_MAX:
         raise DomainError(f"|t| = {abs(t)!r} exceeds the validated domain t_max = {T_MAX}")
-    numerator = t * erfc_fn(-t / _SQRT2)
-    denominator = _mgf_denominator(t, q)
+    denominator = _hermite_laplace(q, -t / _SQRT2)
     if abs(denominator) < _DENOMINATOR_EPS:
         raise DenominatorError(
             f"c(t) denominator {denominator!r} below {_DENOMINATOR_EPS} at t={t}, q={q}"
         )
-    return numerator / denominator
+    return _SQRT2 * t / denominator
 
 
-def mgf_divergence_point(q: float, resolution: float = 1e-9) -> float:
-    """Smallest t > 0 at which the MGF denominator vanishes, or inf.
+def mgf_divergence_point(q: float) -> float:
+    """Smallest t > 0 at which H_q(-t/sqrt(2)), the denominator of c(t),
+    vanishes, or inf when it keeps its sign up to T_MAX.
 
     The terminal length has an exponential (not Gaussian) tail: a geometric
     number of sub-Gaussian hops compounds into P(X > x) ~ exp(-t* x) / q,
     so E[exp(t X)] diverges at the finite abscissa t*.  The closed form
     signals this through a simple zero of its denominator, a pole
-    M(t) ~ (t*/q) / (t* - t); this helper locates it by bisection on
-    [0, T_MAX] (about 1.53 at q = 0.2, 0.97 at q = 0.4, 0.27 at q = 0.8).
-    Returns inf when the denominator keeps its sign up to T_MAX.
+    M(t) ~ (t*/q) / (t* - t) (about 1.53 at q = 0.2, 0.97 at q = 0.4,
+    0.27 at q = 0.8).
+
+    f(t) = H_q(-t/sqrt(2)) has f' = -sqrt(2) q H_{q-1}(-t/sqrt(2)) < 0 and
+    f'' = 2 q (q-1) H_{q-2}(-t/sqrt(2)) < 0, so Newton's method from t = 0
+    overshoots t* once and then falls monotonically onto it; it stops when
+    a step no longer moves t down.  The first step is clamped to T_MAX.
     """
     q = _check_q(q)
-    lo = 0.0
-    hi = None
-    step = 0.05
-    t = step
-    while t <= T_MAX + 1e-12:
-        if _mgf_denominator(t, q) <= 0.0:
-            hi = t
-            lo = t - step
-            break
-        t += step
-    if hi is None:
-        return math.inf
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if _mgf_denominator(mid, q) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = 0.0
+    f = _hermite_laplace(q, 0.0)
+    while True:
+        step = f / (_SQRT2 * q * _hermite_laplace(q - 1.0, -t / _SQRT2))
+        next_t = min(t + step, T_MAX)
+        if t > 0.0 and not next_t < t:
+            return t
+        t = next_t
+        f = _hermite_laplace(q, -t / _SQRT2)
+        if t == T_MAX and f > 0.0:
+            return math.inf
 
 
 def _mgf_in_y(t: float, q: float):

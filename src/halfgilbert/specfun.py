@@ -3,8 +3,9 @@
 Provides gamma (including negative non-integer arguments), the complementary
 error function, the Kummer confluent hypergeometric function 1F1, and the
 Hermite function H_v of non-integer order v, as a two-term 1F1
-combination (`hermite_fn`).  The test suite checks it against direct
-quadrature of the integral representation of H_v.
+combination (`hermite_fn`) and, for -1 < v < 1, as the Laplace-type
+integral the MGF layer evaluates.  The test suite checks both against
+direct quadrature or a 40-digit reference.
 
 Everything here is a pure function of its arguments and is safe to call
 concurrently.
@@ -345,20 +346,19 @@ def hermite_fn(v: float, z: float) -> float:
 
 
 def _hermite_laplace(v: float, z: float) -> float:
-    """H_v(z) for -1 < v < 0 through the Laplace-type representation
+    """H_v(z) for -1 < v < 1, v != 0, through the Laplace-type representation
 
-        H_v(z) = (1/Gamma(-v)) integral_0^inf exp(-s^2 - 2 s z) s^(-v-1) ds.
+    H_v(z) = (1/Gamma(-v)) integral_0^inf (exp(-s^2 - 2 s z) - [v > 0]) s^(-v-1) ds,
 
-    The integrand is positive, so unlike the two-term Kummer combination
-    this route has no exp(z^2)-scale cancellation for z > 0 and keeps
-    near-machine relative accuracy there.  Used internally by the MGF
-    layer, whose residual probes difference H pointwise and would amplify
-    that cancellation noise; not public.
+    where the 1 subtracted for v > 0 keeps the integral finite at s = 0.
+    Unlike the two-term Kummer combination this route has no exp(z^2)-scale
+    cancellation for z > 0.  The MGF layer takes every H_q and H_{q-1} from
+    it; not public.
     """
     v = _require_finite("v", v)
     z = _require_finite("z", z)
-    if not -1.0 < v < 0.0:
-        raise DomainError(f"Laplace route requires -1 < v < 0, got v={v!r}")
+    if not (-1.0 < v < 1.0 and v != 0.0):
+        raise DomainError(f"Laplace route requires -1 < v < 1, v != 0, got v={v!r}")
     if z < -_HERMITE_Z_MAX:
         raise DomainError(
             f"z = {z!r} below -{_HERMITE_Z_MAX}; exp(z^2) would overflow"
@@ -368,26 +368,30 @@ def _hermite_laplace(v: float, z: float) -> float:
             f"z = {z!r} above {_LAPLACE_Z_MAX}; the Laplace route loses accuracy there"
         )
     alpha = -v
+    kernel = math.exp if v < 0.0 else math.expm1
 
     def g(s: float) -> float:
-        return math.exp(-s * (s + 2.0 * z))
+        return kernel(-s * (s + 2.0 * z))
 
-    # Head [0, delta]: expand g(s) = sum_k c_k s^k with c_k = (-1)^k H_k(z)/k!
-    # (classical Hermite polynomials, from the generating function of
-    # exp(-2zs - s^2)) and integrate s^(alpha-1) s^k termwise.  This beats
-    # any substitution: the s^(alpha-1) weight is handled exactly and no
-    # fractional-power kink is left for the quadrature to chase.
+    # Head [0, delta]: expand exp(-2zs - s^2) = sum_k c_k s^k with
+    # c_k = (-1)^k H_k(z)/k! (classical Hermite polynomials, from their
+    # generating function) and integrate s^(alpha-1) s^k termwise, from k = 1
+    # when v > 0.  This beats any substitution: the s^(alpha-1) weight is
+    # handled exactly and no fractional-power kink is left for the quadrature
+    # to chase.  The stop test is scaled by the k = 0 term even when that
+    # term is subtracted, as c_1 = -2z vanishes at z = 0.
     delta = 0.25
+    scale = delta**alpha / alpha
     c_prev = 0.0
     c_curr = 1.0
-    terms = [delta**alpha / alpha]
+    terms = [scale] if v < 0.0 else []
     small_streak = 0
     for k in range(200):
         c_next = -(2.0 * z * c_curr + 2.0 * c_prev) / (k + 1.0)
         c_prev, c_curr = c_curr, c_next
         term = c_curr * delta ** (k + 1.0 + alpha) / (k + 1.0 + alpha)
         terms.append(term)
-        if abs(term) < 1e-18 * abs(terms[0]):
+        if abs(term) < 1e-18 * abs(scale):
             small_streak += 1
             if small_streak >= 2:
                 break
@@ -398,4 +402,6 @@ def _hermite_laplace(v: float, z: float) -> float:
     rest = adaptive_quad(
         lambda s: s ** (alpha - 1.0) * g(s), delta, upper, abs_tol=1e-14, rel_tol=5e-14
     )
+    if v > 0.0:
+        rest += upper**alpha / alpha  # the -1 over [upper, inf)
     return (head + rest) / gamma_fn(alpha)

@@ -8,7 +8,10 @@ integrals, K and J (see `halfgilbert.analytic.k_integral` and `j_integral`):
     M_t(y) = 1 + c(t) H_{q-1}((y - t)/sqrt(2)).
 
 This module evaluates the same formulas in mpmath at 30 digits, for real or
-complex t, and shares no code with the package.  Reference moments come
+complex t, and shares no code with the package.  It also gives the H_q form
+that the package evaluates, c(t) = sqrt(2) t / H_q(-t/sqrt(2)) (the paper's
+bracket equals erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2); see README), at
+40 digits and for real t.  Reference moments come
 from the Cauchy integral of M_t(0) around t = 0, taken by the trapezoid rule
 on a circle (Lyness & Moler 1967): on |t| = r the error of the order-k
 coefficient falls like (r / t*)^N, where t* is the pole of M nearest 0.
@@ -68,6 +71,20 @@ def mgf(t, y, q):
     if t == 0:
         return mp.mpf(1)
     return 1 + c_coefficient(t, q) * mp.hermite(q - 1, (y - t) / mp.sqrt(2))
+
+
+@mp.workdps(40)
+def c_coefficient_hermite(t, q):
+    """c(t) = sqrt(2) t / H_q(-t/sqrt(2)), for real t."""
+    t, q = mp.mpf(t), mp.mpf(q)
+    return mp.sqrt(2) * t / mp.hermite(q, -t / mp.sqrt(2))
+
+
+@mp.workdps(40)
+def mgf_hermite(t, y, q):
+    """M_t(y) = 1 + c(t) H_{q-1}((y - t)/sqrt(2)) in the H_q form, for real t."""
+    t, y, q = mp.mpf(t), mp.mpf(y), mp.mpf(q)
+    return 1 + c_coefficient_hermite(t, q) * mp.hermite(q - 1, (y - t) / mp.sqrt(2))
 
 
 @functools.lru_cache(maxsize=None)

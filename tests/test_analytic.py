@@ -13,7 +13,7 @@ from halfgilbert import cli
 from halfgilbert import montecarlo as mc
 from halfgilbert.analytic import ModelParams, MomentEntry
 from halfgilbert.errors import DenominatorError, DomainError, NumericsError
-from halfgilbert.specfun import adaptive_quad, erfc_fn, hermite_fn
+from halfgilbert.specfun import _hermite_laplace, adaptive_quad, erfc_fn, hermite_fn
 from test_specfun import hermite_j_oracle
 
 SQRT2 = math.sqrt(2.0)
@@ -161,6 +161,22 @@ class TestJIntegral:
             assert rel(other, offsets[0]) < 1e-13
 
 
+class TestPaperForm:
+    """The paper's bracket, sqrt(2/pi) e^(-t^2/2) H_{q-1}(-t/sqrt(2)) - q J(t, q),
+    against erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2), the denominator c(t)
+    is taken from: K and J stay a live oracle of the identity."""
+
+    def test_bracket_equals_hermite_form(self):
+        for q in (0.1 * i for i in range(1, 10)):
+            for t in (-2.0 + 0.25 * i for i in range(17)):
+                z = -t / SQRT2
+                bracket = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * t * t) * (
+                    _hermite_laplace(q - 1.0, z)
+                ) - q * an.j_integral(t, q)
+                hermite_form = erfc_fn(z) * _hermite_laplace(q, z) / SQRT2
+                assert abs(bracket - hermite_form) < 5e-14, (q, t)
+
+
 class TestCCoefficient:
     @pytest.mark.parametrize("q", [0.3, 0.6])
     def test_zero_at_origin(self, q):
@@ -189,7 +205,7 @@ class TestCCoefficient:
             an.c_coefficient(5.5, 0.4)
 
     def test_denominator_guard_at_divergence_point(self):
-        t_star = an.mgf_divergence_point(0.4, resolution=1e-13)
+        t_star = an.mgf_divergence_point(0.4)
         with pytest.raises(DenominatorError):
             an.c_coefficient(t_star, 0.4)
 
@@ -262,9 +278,21 @@ class TestReference:
     def test_mgf_matches_package(self, t):
         assert rel(an.mgf(t, 0.0, 0.4), float(reference.mgf(t, 0.0, 0.4))) < 1e-12
 
-    @pytest.mark.parametrize("q", [0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("q", [0.001, 0.05, 0.3, 0.7, 0.9, 0.95, 0.999])
     def test_divergence_point(self, q):
-        assert abs(an.mgf_divergence_point(q) - float(reference.divergence_point(q))) < 1e-8
+        assert abs(an.mgf_divergence_point(q) - float(reference.divergence_point(q))) < 1e-14
+
+    @pytest.mark.parametrize("q", [0.01 + 0.098 * i for i in range(11)])
+    def test_c_and_mgf_match_hermite_form(self, q):
+        # 9 t from -5, where the paper form cancels at scale e^(t^2/2), to
+        # 0.9 min(t*, 5)
+        top = 0.9 * min(float(reference.divergence_point(q) or 5), 5.0)
+        for t in (-5.0 + (top + 5.0) * j / 8 for j in range(9)):
+            c = reference.c_coefficient_hermite(t, q)
+            assert abs(an.c_coefficient(t, q) - c) <= 1e-13 * abs(c), t
+            for y in (0.0, 1.0, 3.0, 8.0):
+                m = reference.mgf_hermite(t, y, q)
+                assert abs(an.mgf(t, y, q) - m) <= 1e-11 * abs(m), (t, y)
 
 
 class TestSpecialHalf:
@@ -470,13 +498,13 @@ def integral_equation_residual_reference(t, q):
 
 
 def mgf_moments_reference(q, max_order, m=None):
-    """Moments as Richardson derivatives of M_t(0): locate t* to 1e-6 and
-    shrink the base step when the widest stencil, 3 h, passes 0.7 t*.
-    m(t) is M_t(0), by default one mgf call per stencil node.  Returns
-    (value, uncertainty) per order."""
+    """Moments as Richardson derivatives of M_t(0): locate t* and shrink the
+    base step when the widest stencil, 3 h, passes 0.7 t*.  m(t) is M_t(0),
+    by default one mgf call per stencil node.  Returns (value, uncertainty)
+    per order."""
     m = m or (lambda t: an.mgf(t, 0.0, q))
     base_step = 0.1
-    t_star = an.mgf_divergence_point(q, resolution=1e-6)
+    t_star = an.mgf_divergence_point(q)
     if math.isfinite(t_star) and 3.0 * base_step > 0.7 * t_star:
         base_step = 0.7 * t_star / 3.0
     return [_richardson_derivative(m, k, base_step) for k in range(1, max_order + 1)]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -270,7 +271,6 @@ class TestHermite:
             sf.hermite_fn(-0.6, z)
 
     def test_laplace_route_matches_kummer_route(self):
-        # internal evaluator used by the MGF layer for -1 < v < 0
         for v in (-0.95, -0.6, -0.35, -0.05):
             for z in (-3.5, -1.0, 0.0, 0.5, 2.0, 3.5):
                 a = sf._hermite_laplace(v, z)
@@ -281,6 +281,21 @@ class TestHermite:
     def test_laplace_route_at_its_z_bound(self):
         assert rel(sf._hermite_laplace(-0.6, 20.0), HERMITE_M06_AT_20) < 1e-12
         assert rel(sf._hermite_laplace(-0.95, 20.0), HERMITE_M095_AT_20) < 1e-12
+
+    @pytest.mark.parametrize("v", [0.001, 0.05, 0.35, 0.6, 0.95, 0.999])
+    def test_laplace_route_positive_order(self, v):
+        # the MGF layer takes H_q from it; relative to max(|H|, 1) because
+        # H_v has a zero on the negative axis
+        for z in range(-26, 21):
+            with mp.workdps(40):
+                want = float(mp.hermite(v, z))
+            got = sf._hermite_laplace(v, float(z))
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), z
+
+    @pytest.mark.parametrize("v", [0.0, 1.0, -1.0])
+    def test_laplace_route_order_domain(self, v):
+        with pytest.raises(DomainError):
+            sf._hermite_laplace(v, 0.5)
 
     @pytest.mark.parametrize("z", [20.5, 1e300])
     def test_laplace_route_refuses_large_z(self, z):
