@@ -66,9 +66,8 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(0.5 * math.pi)
 
 # Validated |t| domain for the MGF; c_coefficient refuses to evaluate
-# beyond it.  The bound was set by the paper form of c(t), which cancels at
-# scale exp(t^2/2); the H_q form has no such cancellation, and the bound
-# stays only until the outputs past it are pinned against a reference.
+# beyond it.  Nothing in the H_q form cancels past it: the bound stays only
+# until the outputs there are pinned against a reference.
 T_MAX = 5.0
 
 _DENOMINATOR_EPS = 1e-12
@@ -366,10 +365,10 @@ def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
     series whose coefficients are gamma ratios.  This path is independent of
     the closed-form moment expressions and has no truncation error.
 
-    The quotient comes from the identity, not from the paper form of c(t), so
-    one M(h) is evaluated as a check, at h well inside the pole t*, which the
-    ratio of the last two coefficients estimates; the two must agree to 1e-6
-    relative to M(h) - 1, or NumericsError is raised.
+    The gamma-ratio series shares no code with the quadrature route of c(t),
+    so one M(h) is evaluated as a check, at h well inside the pole t*, which
+    the ratio of the last two coefficients estimates; the two must agree to
+    1e-6 relative to M(h) - 1, or NumericsError is raised.
     """
     if not 1 <= max_order <= 6:
         raise ValueError(f"max_order must lie in [1, 6], got {max_order!r}")
