@@ -163,8 +163,8 @@ class TestJIntegral:
 
 class TestPaperForm:
     """The paper's bracket, sqrt(2/pi) e^(-t^2/2) H_{q-1}(-t/sqrt(2)) - q J(t, q),
-    against erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2), the denominator c(t)
-    is taken from: K and J stay a live oracle of the identity."""
+    against erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2), whose H_q gives c(t):
+    K and J stay a live oracle of the identity."""
 
     def test_bracket_equals_hermite_form(self):
         for q in (0.1 * i for i in range(1, 10)):
