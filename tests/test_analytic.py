@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import reference
@@ -216,6 +218,14 @@ class TestMgf:
             for q in [0.1 * i for i in range(1, 10)]:
                 assert an.mgf(0.0, y, q) == 1.0
 
+    @settings(derandomize=True, database=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1e300),
+        st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
+    )
+    def test_normalization_property(self, y, q):
+        assert an.mgf(0.0, y, q) == 1.0
+
     def test_y_domain(self):
         with pytest.raises(DomainError):
             an.mgf(0.5, -0.1, 0.4)
@@ -293,6 +303,15 @@ class TestReference:
             for y in (0.0, 1.0, 3.0, 8.0):
                 m = reference.mgf_hermite(t, y, q)
                 assert abs(an.mgf(t, y, q) - m) <= 1e-11 * abs(m), (t, y)
+
+    @pytest.mark.parametrize("t", [-1.5, 1.0])
+    def test_direct_w_integral_matches_paper_j(self, t):
+        # J(t) = integral_0^inf erfc((u-t)/sqrt(2)) H_{q-1}((u-t)/sqrt(2)) du
+        # is sqrt(2) times the w-integral from -t/sqrt(2)
+        mp = reference.mp
+        t, q = mp.mpf(t), mp.mpf(0.4)
+        direct = mp.sqrt(2) * reference.erfc_hermite_tail(-t / mp.sqrt(2), q)
+        assert abs(direct / reference.j_integral(t, q) - 1) < 1e-25
 
 
 class TestSpecialHalf:
@@ -470,6 +489,21 @@ class TestResiduals:
             for q in (0.25, 0.4, 0.75)
         )
         assert worst < 1e-6
+
+    def test_integral_equation_validate_grid(self):
+        # the exact residual is 0; what is left is roundoff at the scale of M
+        for q in np.linspace(0.05, 0.95, 19).tolist():
+            for t in cli._IE_T_GRID:
+                bound = 1e-13 * max(1.0, abs(an.mgf(t, 0.0, q)))
+                assert abs(an.integral_equation_residual(t, q)) <= bound, (q, t)
+
+    def test_integral_equation_sees_a_wrong_c(self, monkeypatch):
+        original = an.c_coefficient
+        monkeypatch.setattr(
+            an, "c_coefficient", lambda t, q: original(t, q) * (1.0 + 1e-10)
+        )
+        worst = max(abs(an.integral_equation_residual(t, 0.4)) for t in cli._IE_T_GRID)
+        assert worst > 1e-9
 
 # References on the per-call path: one mgf(t, y, q) call, and so one c(t),
 # per evaluated point.  Production shares c(t) across y and must give the

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfgilbert import analytic as an
 from halfgilbert import montecarlo as mc
@@ -44,6 +46,31 @@ def empirical_mgf(samples, t: float) -> float:
     if arr.size == 0:
         raise ValueError("empirical_mgf needs at least one sample")
     return float(np.exp(t * arr).mean())
+
+
+def power_sums_reference(lengths: np.ndarray) -> list[float]:
+    """The 12 power sums of stats_from_lengths, one fresh array per power."""
+    sums = []
+    power = lengths.copy()
+    with np.errstate(over="ignore"):
+        for _ in range(12):
+            sums.append(float(power.sum()))
+            power = power * lengths
+    return sums
+
+
+def assert_power_sums_match_reference(lengths: np.ndarray) -> None:
+    """stats_from_lengths' sums are the reference's floats: the first six
+    directly, orders 7-12 through the standard errors they feed."""
+    stats = mc.stats_from_lengths(lengths)
+    sums = power_sums_reference(lengths)
+    n = lengths.size
+    assert stats.moment_sums == tuple(sums[:6])
+    errors = tuple(
+        math.sqrt(max(sums[2 * k - 1] / n - (sums[k - 1] / n) ** 2, 0.0) * n / (n - 1) / n)
+        for k in range(1, 7)
+    )
+    assert stats.std_errors == errors
 
 
 # All-pairs plane resolver with the blocking rule written out per case (a
@@ -324,6 +351,27 @@ class TestRunMonteCarlo:
         assert all(math.isnan(se) for se in one.std_errors)
         two = mc.stats_from_lengths(np.array([1.0, 3.0]))
         assert two.std_errors[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "n", [2, 7, 100, 12_345, mc.CHUNK_SIZE, mc.CHUNK_SIZE + 1, 999_999]
+    )
+    def test_power_sums_equal_reference(self, n):
+        rng = np.random.default_rng(n)
+        assert_power_sums_match_reference(rng.exponential(2.0, size=n))
+
+    def test_power_sums_of_drawn_lengths_equal_reference(self):
+        for seed in (1, 2, 3):
+            config = mc.SimConfig(params=ModelParams(q=0.4), samples=1_000_000, seed=seed)
+            assert_power_sums_match_reference(mc.draw_samples(config))
+
+    @settings(derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e20), min_size=2, max_size=300
+        )
+    )
+    def test_power_sums_property(self, lengths):
+        assert_power_sums_match_reference(np.array(lengths))
 
     def test_overflowing_power_sum_raises(self):
         # 1e30**12 overflows a float; the order-12 sum feeds the order-6 error
