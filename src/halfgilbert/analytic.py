@@ -422,6 +422,39 @@ def ode_residual(t: float, y: float, q: float, h: float) -> tuple[float, float]:
     return d2 - (y - t) * d1 - (1.0 - q) * m0 + (1.0 - q), m0
 
 
+def _erfc_hermite_tail(q: float, w0: float) -> float:
+    """I(w0) = integral_{w0}^inf erfc(w) H_{q-1}(w) dw, as one quadrature.
+
+    Put H_{q-1}(w) = (1/Gamma(1-q)) integral_0^inf s^(-q) e^(-s^2-2sw) ds
+    under the w-integral and swap the order.  By parts, as erfc' =
+    -(2/sqrt(pi)) e^(-w^2), each inner integral_{w0}^inf erfc(w) e^(-2sw) dw
+    is [erfc(w0) e^(-2s w0) - e^(s^2) erfc(w0 + s)] / (2s), so
+
+        I(w0) = (1/(2 Gamma(1-q))) integral_0^inf s^(-q-1)
+                [erfc(w0) e^(-s^2 - 2s w0) - erfc(w0 + s)] ds.
+
+    The bracket is divided by erfc(w0), keeping the quadrature's absolute
+    tolerance relative to I; its Taylor series is sum_{k>=1} s^k (c_k +
+    r c_(k-1) / k), with c_k as in `_hermite_laplace` and r = (2/sqrt(pi))
+    e^(-w0^2) / erfc(w0).  The head [0, 1/4] is integrated termwise against
+    s^(-q-1), the rest by `adaptive_quad`.
+    """
+    e = erfc_fn(w0)
+    r = 2.0 / _SQRT_PI * math.exp(-w0 * w0) / e
+    delta = 0.25
+    c_prev, c_curr = 0.0, 1.0
+    terms = []
+    for k in range(1, 200):
+        c_prev, c_curr = c_curr, -(2.0 * w0 * c_curr + 2.0 * c_prev) / k
+        terms.append((c_curr + r * c_prev / k) * delta ** (k - q) / (k - q))
+        if k > 1 and max(abs(terms[-1]), abs(terms[-2])) < 1e-18 * abs(terms[0]):
+            break
+    bracket = lambda s: math.exp(-s * (s + 2.0 * w0)) - erfc_fn(w0 + s) / e
+    rest = adaptive_quad(lambda s: s ** (-q - 1.0) * bracket(s), delta,
+                         max(-w0, 0.0) + 8.0, abs_tol=1e-14, rel_tol=5e-14)
+    return e * (math.fsum(terms) + rest) / (2.0 * gamma_fn(1.0 - q))
+
+
 def integral_equation_residual(t: float, q: float) -> float:
     """Residual of the defining fixed-point relation at y = 0:
 
@@ -429,18 +462,23 @@ def integral_equation_residual(t: float, q: float) -> float:
                  + q e^(t^2/2) sqrt(pi/2)
                    integral_0^inf erfc((u-t)/sqrt(2)) M_t(u) du.
 
-    The u-integral is truncated at u = t + 9, where the erfc factor is
-    below 3e-18 and M_t stays bounded, so the discarded tail is far below
-    the 1e-6 scale this probe is read at.  This is the defining property
-    of c(t): a wrong coefficient shows up here immediately.
+    With w0 = -t/sqrt(2) the u-integral is sqrt(2) integral_{w0}^inf erfc(w)
+    [1 + c(t) H_{q-1}(w)] dw: sqrt(2) [e^(-w0^2)/sqrt(pi) - w0 erfc(w0)]
+    plus sqrt(2) c(t) `_erfc_hermite_tail`.  This is the defining property of
+    c(t): a wrong coefficient shows up here immediately.
     """
     t = _check_t(t)
     q = _check_q(q)
-    m = _mgf_in_y(t, q)
-    upper = t + 9.0
-    integral = adaptive_quad(lambda u: erfc_fn((u - t) / _SQRT2) * m(u), 0.0, upper)
+    w0 = -t / _SQRT2
+    e = erfc_fn(w0)
+    integral = _SQRT2 * (math.exp(-w0 * w0) / _SQRT_PI - w0 * e)
+    m0 = 1.0
+    if t != 0.0:
+        c = c_coefficient(t, q)
+        m0 += c * _hermite_laplace(q - 1.0, w0)
+        integral += _SQRT2 * c * _erfc_hermite_tail(q, w0)
     growth = math.exp(0.5 * t * t)
     rhs = (1.0 - q) * (
-        1.0 + _SQRT_PI_OVER_2 * t * growth * erfc_fn(-t / _SQRT2)
+        1.0 + _SQRT_PI_OVER_2 * t * growth * e
     ) + q * growth * _SQRT_PI_OVER_2 * integral
-    return m(0.0) - rhs
+    return m0 - rhs

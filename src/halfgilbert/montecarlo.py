@@ -195,12 +195,12 @@ def stats_from_lengths(lengths: np.ndarray, censored: int = 0) -> SimStats:
     censored_warning = n + censored > 0 and censored / (n + censored) > 0.01
     # Power sums up to order 12: the standard error of the order-k raw
     # moment needs the order-2k sum.
-    sums = []
-    power = lengths.copy()
     with np.errstate(over="ignore"):
-        for _ in range(2 * _N_MOMENTS):
+        power = lengths * lengths
+        sums = [float(lengths.sum()), float(power.sum())]
+        for _ in range(2 * _N_MOMENTS - 2):
+            np.multiply(power, lengths, out=power)
             sums.append(float(power.sum()))
-            power = power * lengths
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"a power sum of {n} lengths overflows a float")
     raw = [s / n if n else math.nan for s in sums[:_N_MOMENTS]]
