@@ -56,7 +56,6 @@ def j_integral(t, q):
     return mp.sqrt(2) * (k_integral(t, q) + constant)
 
 
-@functools.lru_cache(maxsize=None)
 def erfc_hermite_tail(w0, q):
     """integral_{w0}^inf erfc(w) H_{q-1}(w) dw, integrated in w directly.
 
