@@ -464,8 +464,8 @@ def integral_equation_residual(t: float, q: float) -> float:
 
     With w0 = -t/sqrt(2) the u-integral is sqrt(2) integral_{w0}^inf erfc(w)
     [1 + c(t) H_{q-1}(w)] dw: sqrt(2) [e^(-w0^2)/sqrt(pi) - w0 erfc(w0)]
-    plus sqrt(2) c(t) `_erfc_hermite_tail`.  This is the defining property of
-    c(t): a wrong coefficient shows up here immediately.
+    plus sqrt(2) c(t) `_erfc_hermite_tail`, not `j_integral`, with which this
+    would restate the paper-form identity.  A wrong c(t) shows up here.
     """
     t = _check_t(t)
     q = _check_q(q)

@@ -11,10 +11,10 @@ This module evaluates the same formulas in mpmath at 30 digits, for real or
 complex t, and shares no code with the package.  It also gives the H_q form
 that the package evaluates, c(t) = sqrt(2) t / H_q(-t/sqrt(2)) (the paper's
 bracket equals erfc(-t/sqrt(2)) H_q(-t/sqrt(2)) / sqrt(2); see README), at
-40 digits and for real t, and the erfc-times-Hermite integral of the
-integral-equation probe by direct quadrature in w.  Reference moments come
-from the Cauchy integral of M_t(0) around t = 0, taken by the trapezoid rule
-on a circle (Lyness & Moler 1967): on |t| = r the error of the order-k
+40 digits and for real t, and the erfc-times-Hermite integral behind J by
+direct quadrature in w, to check J against its definition.  Reference moments
+come from the Cauchy integral of M_t(0) around t = 0, taken by the trapezoid
+rule on a circle (Lyness & Moler 1967): on |t| = r the error of the order-k
 coefficient falls like (r / t*)^N, where t* is the pole of M nearest 0.
 """
 
@@ -60,7 +60,8 @@ def erfc_hermite_tail(w0, q):
     """integral_{w0}^inf erfc(w) H_{q-1}(w) dw, integrated in w directly.
 
     Split at w0, 0, 2, 6 and inf; Gauss-Legendre reaches 30 digits on the
-    smooth pieces in about half the nodes of tanh-sinh.
+    smooth pieces in about half the nodes of tanh-sinh.  It costs 0.25-0.4 s
+    a point, against 1-13 ms for sqrt(2) times the same integral through J.
     """
     w0, q = mp.mpf(w0), mp.mpf(q)
     points = [w0] + [mp.mpf(p) for p in (0, 2, 6) if p > w0] + [mp.inf]

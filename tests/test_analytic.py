@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import reference
@@ -214,17 +212,9 @@ class TestCCoefficient:
 
 class TestMgf:
     def test_normalization_exact(self):
-        for y in [0.5 * i for i in range(11)] + [7.0]:
-            for q in [0.1 * i for i in range(1, 10)]:
+        for y in [0.5 * i for i in range(11)] + [7.0, 1e300]:
+            for q in [1e-9] + [0.1 * i for i in range(1, 10)] + [1.0 - 1e-9]:
                 assert an.mgf(0.0, y, q) == 1.0
-
-    @settings(derandomize=True, database=None)
-    @given(
-        st.floats(min_value=0.0, max_value=1e300),
-        st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
-    )
-    def test_normalization_property(self, y, q):
-        assert an.mgf(0.0, y, q) == 1.0
 
     def test_y_domain(self):
         with pytest.raises(DomainError):
@@ -304,24 +294,30 @@ class TestReference:
                 m = reference.mgf_hermite(t, y, q)
                 assert abs(an.mgf(t, y, q) - m) <= 1e-11 * abs(m), (t, y)
 
+    @staticmethod
+    def erfc_hermite_tail(t, q):
+        """The w-integral from -t/sqrt(2), J(t) / sqrt(2); the paper's J at 30
+        digits holds 23 of them even where it cancels, at t = -5."""
+        mp = reference.mp
+        return float(reference.j_integral(mp.mpf(t), mp.mpf(q)) / mp.sqrt(2))
+
     @pytest.mark.parametrize("q", [0.05, 0.1, 0.25, 0.4, 0.5, 0.75, 0.85, 0.95])
-    def test_erfc_hermite_tail_matches_direct_w_integral(self, q):
+    def test_erfc_hermite_tail_matches_paper_j(self, q):
         for t in (-2.0, -1.0, 1.0, 2.0):
-            w0 = -t / SQRT2
-            exact = float(reference.erfc_hermite_tail(w0, q))
-            assert abs(an._erfc_hermite_tail(q, w0) - exact) <= 1e-14 * exact, t
+            exact = self.erfc_hermite_tail(t, q)
+            assert abs(an._erfc_hermite_tail(q, -t / SQRT2) - exact) <= 1e-14 * exact, t
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
     def test_erfc_hermite_tail_out_to_t_max(self, q):
         for t in (-5.0, -3.5, 3.5, 5.0):
-            w0 = -t / SQRT2
-            exact = float(reference.erfc_hermite_tail(w0, q))
-            assert abs(an._erfc_hermite_tail(q, w0) - exact) <= 2e-13 * exact, t
+            exact = self.erfc_hermite_tail(t, q)
+            assert abs(an._erfc_hermite_tail(q, -t / SQRT2) - exact) <= 2e-13 * exact, t
 
     @pytest.mark.parametrize("t", [-1.5, 1.0])
     def test_direct_w_integral_matches_paper_j(self, t):
         # J(t) = integral_0^inf erfc((u-t)/sqrt(2)) H_{q-1}((u-t)/sqrt(2)) du
-        # is sqrt(2) times the w-integral from -t/sqrt(2)
+        # is sqrt(2) times the w-integral from -t/sqrt(2): the one check of
+        # the paper's closed J against its definition
         mp = reference.mp
         t, q = mp.mpf(t), mp.mpf(0.4)
         direct = mp.sqrt(2) * reference.erfc_hermite_tail(-t / mp.sqrt(2), q)

@@ -367,6 +367,8 @@ class TestRunMonteCarlo:
             config = mc.SimConfig(params=ModelParams(q=0.4), samples=1_000_000, seed=seed)
             assert_power_sums_match_reference(mc.draw_samples(config))
 
+    # Arrays the exponential draws above never give: zeros, subnormals,
+    # repeats and lengths twenty decades apart in one sum.
     @settings(derandomize=True, database=None)
     @given(
         st.lists(
