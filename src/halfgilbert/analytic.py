@@ -20,12 +20,9 @@ divided by sqrt(lam).
 
 Two residual probes (`ode_residual`, `integral_equation_residual`) tie the
 implementation back to the equations that define it and are used by the
-test suite and the validation report.
-
-c(t) depends on t alone, so M_t(.) at one t is a y-slice that shares one
-c(t) across every y: the residual probes evaluate many y per t through one
-slice.  `mgf_moments` needs no M_t at all beyond one check: its moments are
-the t-series of M_t(0), a quotient of two Hermite-function series.
+test suite and the validation report.  `mgf_moments` needs no M_t at all
+beyond one check: its moments are the t-series of M_t(0), a quotient of two
+Hermite-function series.
 """
 
 from __future__ import annotations
@@ -234,21 +231,6 @@ def mgf_divergence_point(q: float) -> float:
             return math.inf
 
 
-def _mgf_in_y(t: float, q: float):
-    """The slice y -> M_t(y) at fixed t and q, with c(t) computed once.
-
-    The caller has checked t and q and checks each y.
-    """
-    if t == 0.0:
-        return lambda y: 1.0
-    # The defining ODE's general solution also carries an even 1F1 branch;
-    # its coefficient is identically zero because that branch grows like
-    # exp((y-t)^2/2) while M_t(y) -> 1 as y -> inf, so only the Hermite
-    # branch appears here.
-    c = c_coefficient(t, q)
-    return lambda y: 1.0 + c * _hermite_laplace(q - 1.0, (y - t) / _SQRT2)
-
-
 def mgf(t: float, y: float, q: float) -> float:
     """Moment generating function M_t(y) of the remaining horizontal distance.
 
@@ -263,7 +245,13 @@ def mgf(t: float, y: float, q: float) -> float:
     y = float(y)
     if not y >= 0.0:
         raise DomainError(f"y must be nonnegative, got {y!r}")
-    return _mgf_in_y(t, q)(y)
+    if t == 0.0:
+        return 1.0
+    # The defining ODE's general solution also carries an even 1F1 branch;
+    # its coefficient is identically zero because that branch grows like
+    # exp((y-t)^2/2) while M_t(y) -> 1 as y -> inf, so only the Hermite
+    # branch appears here.
+    return 1.0 + c_coefficient(t, q) * _hermite_laplace(q - 1.0, (y - t) / _SQRT2)
 
 
 def mgf_special_half(t: float) -> float:
@@ -401,25 +389,33 @@ def mgf_moments(params: ModelParams, max_order: int = 4) -> MomentReport:
 # ---------------------------------------------------------------------------
 
 
-def ode_residual(t: float, y: float, q: float, h: float) -> tuple[float, float]:
+def ode_residual(t: float, y: float, q: float) -> tuple[float, float]:
     """(residual, M_t(y)): the residual of M'' - (y - t) M' - (1 - q) M =
-    -(1 - q) in y, and the value of M_t(y) it used.
+    -(1 - q) in y, and the value of M_t(y), bit-identical to `mgf`.
 
-    Derivatives are central differences with step h, so the expected
-    magnitude for a correct MGF is the h^2 truncation error.  Requires
-    y >= h > 0 to keep the stencil inside the domain.
+    With z = (y - t)/sqrt(2) and H_v' = 2 v H_(v-1), M' = sqrt(2) (q-1) c
+    H_(q-2)(z) and M'' = 2 (q-1)(q-2) c H_(q-3)(z), so the residual is
+
+        c (q-1) [H_(q-1)(z) - 2 z H_(q-2)(z) + 2 (q-2) H_(q-3)(z)],
+
+    whose bracket Hermite's three-term recurrence makes vanish identically.
+    The derivatives are exact, so nothing is left but the roundoff of three
+    independent Laplace quadratures, at the scale of M; a relative error in
+    any one of the three H reads back in full.
     """
-    if not h > 0.0:
-        raise DomainError(f"h must be positive, got {h!r}")
-    if not y >= h:
-        raise DomainError(f"need y >= h for the central stencil, got y={y!r}, h={h!r}")
-    m = _mgf_in_y(_check_t(t), _check_q(q))
-    m0 = m(y)
-    mp = m(y + h)
-    mm = m(y - h)
-    d2 = (mp - 2.0 * m0 + mm) / (h * h)
-    d1 = (mp - mm) / (2.0 * h)
-    return d2 - (y - t) * d1 - (1.0 - q) * m0 + (1.0 - q), m0
+    t = _check_t(t)
+    q = _check_q(q)
+    y = float(y)
+    if not y >= 0.0:
+        raise DomainError(f"y must be nonnegative, got {y!r}")
+    if t == 0.0:
+        return 0.0, 1.0
+    c = c_coefficient(t, q)
+    z = (y - t) / _SQRT2
+    h1 = _hermite_laplace(q - 1.0, z)
+    h2 = _hermite_laplace(q - 2.0, z)
+    h3 = _hermite_laplace(q - 3.0, z)
+    return c * (q - 1.0) * (h1 - 2.0 * z * h2 + 2.0 * (q - 2.0) * h3), 1.0 + c * h1
 
 
 def _erfc_hermite_tail(q: float, w0: float) -> float:
@@ -455,8 +451,9 @@ def _erfc_hermite_tail(q: float, w0: float) -> float:
     return e * (math.fsum(terms) + rest) / (2.0 * gamma_fn(1.0 - q))
 
 
-def integral_equation_residual(t: float, q: float) -> float:
-    """Residual of the defining fixed-point relation at y = 0:
+def integral_equation_residual(t: float, q: float) -> tuple[float, float]:
+    """(residual, M_t(0)): the residual of the defining fixed-point relation
+    at y = 0,
 
         M_t(0) = (1-q) [1 + sqrt(pi/2) t e^(t^2/2) erfc(-t/sqrt(2))]
                  + q e^(t^2/2) sqrt(pi/2)
@@ -481,4 +478,4 @@ def integral_equation_residual(t: float, q: float) -> float:
     rhs = (1.0 - q) * (
         1.0 + _SQRT_PI_OVER_2 * t * growth * e
     ) + q * growth * _SQRT_PI_OVER_2 * integral
-    return m0 - rhs
+    return m0 - rhs, m0

@@ -3,7 +3,7 @@
 Provides gamma (including negative non-integer arguments), the complementary
 error function, the Kummer confluent hypergeometric function 1F1, and the
 Hermite function H_v of non-integer order v, as a two-term 1F1
-combination (`hermite_fn`) and, for -1 < v < 1, as the Laplace-type
+combination (`hermite_fn`) and, for -3 < v < 1, as the Laplace-type
 integral the MGF layer evaluates.  The test suite checks both against
 direct quadrature or a 40-digit reference.
 
@@ -346,19 +346,20 @@ def hermite_fn(v: float, z: float) -> float:
 
 
 def _hermite_laplace(v: float, z: float) -> float:
-    """H_v(z) for -1 < v < 1, v != 0, through the Laplace-type representation
+    """H_v(z) for -3 < v < 1, v != 0, through the Laplace-type representation
 
     H_v(z) = (1/Gamma(-v)) integral_0^inf (exp(-s^2 - 2 s z) - [v > 0]) s^(-v-1) ds,
 
     where the 1 subtracted for v > 0 keeps the integral finite at s = 0.
     Unlike the two-term Kummer combination this route has no exp(z^2)-scale
-    cancellation for z > 0.  The MGF layer takes every H_q and H_{q-1} from
-    it; not public.
+    cancellation for z > 0.  The MGF layer takes every H_q, H_{q-1} and,
+    for the ODE probe's exact derivatives, H_{q-2} and H_{q-3} from it;
+    q - 3 is the lowest order the package asks for.  Not public.
     """
     v = _require_finite("v", v)
     z = _require_finite("z", z)
-    if not (-1.0 < v < 1.0 and v != 0.0):
-        raise DomainError(f"Laplace route requires -1 < v < 1, v != 0, got v={v!r}")
+    if not (-3.0 < v < 1.0 and v != 0.0):
+        raise DomainError(f"Laplace route requires -3 < v < 1, v != 0, got v={v!r}")
     if z < -_HERMITE_Z_MAX:
         raise DomainError(
             f"z = {z!r} below -{_HERMITE_Z_MAX}; exp(z^2) would overflow"

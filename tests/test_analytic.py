@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import reference
@@ -461,40 +463,79 @@ class TestMgfMoments:
             _richardson_derivative(step, 1, 0.1)
 
 
+def ode_grid_max(q):
+    """The ODE probe's largest normalized residual on validate's grid."""
+    return max(
+        abs(residual) / max(1.0, abs(m))
+        for residual, m in (
+            an.ode_residual(t, y, q) for t in cli._ODE_T_GRID for y in cli._ODE_Y_GRID
+        )
+    )
+
+
 class TestResiduals:
     def test_ode_examples(self):
-        assert abs(an.ode_residual(1.0, 2.0, 0.4, 1e-3)[0]) < 1e-5
-        assert abs(an.ode_residual(-1.2, 0.5, 0.7, 1e-3)[0]) < 1e-5
+        assert abs(an.ode_residual(1.0, 2.0, 0.4)[0]) < 1e-13
+        assert abs(an.ode_residual(-1.2, 0.5, 0.7)[0]) < 1e-13
 
     def test_ode_trivial_at_zero(self):
-        assert an.ode_residual(0.0, 1.5, 0.3, 1e-3)[0] == 0.0
+        assert an.ode_residual(0.0, 1.5, 0.3) == (0.0, 1.0)
 
     def test_ode_grid(self):
         worst = max(
-            abs(an.ode_residual(t, y, q, 1e-3)[0])
+            abs(an.ode_residual(t, y, q)[0])
             for t in (-2.0, -1.0, 0.0, 1.0, 2.0)
             for y in (0.5, 1.0, 3.0)
             for q in (0.3, 0.5, 0.7)
         )
-        assert worst < 1e-5
+        assert worst < 1e-13
 
-    def test_ode_step_validation(self):
+    def test_ode_refuses_negative_y(self):
         with pytest.raises(DomainError):
-            an.ode_residual(1.0, 0.5, 0.4, 0.0)
+            an.ode_residual(1.0, -1e-4, 0.4)
         with pytest.raises(DomainError):
-            an.ode_residual(1.0, 1e-4, 0.4, 1e-3)
+            an.ode_residual(0.0, -1.0, 0.4)
+
+    def test_ode_sees_a_wrong_derivative(self, monkeypatch):
+        # H_(q-2) off by 1e-8 relative reads back as about 2.6e-8
+        q = 0.4
+        assert ode_grid_max(q) < 1e-13
+        original = an._hermite_laplace
+
+        def perturbed(v, z):
+            value = original(v, z)
+            return value * (1.0 + 1e-8) if v == q - 2.0 else value
+
+        monkeypatch.setattr(an, "_hermite_laplace", perturbed)
+        assert ode_grid_max(q) > 1e-9
+
+    @example(q=0.01, t=-5.0, y=0.0)
+    @example(q=0.01, t=5.0, y=20.0)
+    @example(q=0.99, t=-5.0, y=20.0)
+    @example(q=0.99, t=5.0, y=0.0)
+    @settings(derandomize=True, database=None)
+    @given(
+        q=st.floats(min_value=0.01, max_value=0.99),
+        t=st.floats(min_value=-5.0, max_value=5.0),
+        y=st.floats(min_value=0.0, max_value=20.0),
+    )
+    def test_ode_over_its_domain(self, q, t, y):
+        # worst seen: 1.1e-12 of max(1, |M|), at q < 0.1, t near -5 and
+        # y = 20, where z = 17.7 nears the Laplace route's z bound
+        residual, m = an.ode_residual(t, y, q)
+        assert abs(residual) <= 1e-11 * max(1.0, abs(m))
 
     @pytest.mark.parametrize("q", [0.3, 0.6])
     def test_integral_equation_at_zero(self, q):
-        assert abs(an.integral_equation_residual(0.0, q)) < 1e-10
+        assert abs(an.integral_equation_residual(0.0, q)[0]) < 1e-10
 
     @pytest.mark.parametrize("t,q", [(1.5, 0.4), (-2.0, 0.25)])
     def test_integral_equation_examples(self, t, q):
-        assert abs(an.integral_equation_residual(t, q)) < 1e-6
+        assert abs(an.integral_equation_residual(t, q)[0]) < 1e-6
 
     def test_integral_equation_grid(self):
         worst = max(
-            abs(an.integral_equation_residual(t, q))
+            abs(an.integral_equation_residual(t, q)[0])
             for t in (-2.0, -1.0, 1.0, 2.0)
             for q in (0.25, 0.4, 0.75)
         )
@@ -505,21 +546,24 @@ class TestResiduals:
         for q in np.linspace(0.05, 0.95, 19).tolist():
             for t in cli._IE_T_GRID:
                 bound = 1e-13 * max(1.0, abs(an.mgf(t, 0.0, q)))
-                assert abs(an.integral_equation_residual(t, q)) <= bound, (q, t)
+                assert abs(an.integral_equation_residual(t, q)[0]) <= bound, (q, t)
 
     def test_integral_equation_sees_a_wrong_c(self, monkeypatch):
         original = an.c_coefficient
         monkeypatch.setattr(
             an, "c_coefficient", lambda t, q: original(t, q) * (1.0 + 1e-10)
         )
-        worst = max(abs(an.integral_equation_residual(t, 0.4)) for t in cli._IE_T_GRID)
+        worst = max(
+            abs(an.integral_equation_residual(t, 0.4)[0]) for t in cli._IE_T_GRID
+        )
         assert worst > 1e-9
 
-# References on the per-call path: one mgf(t, y, q) call, and so one c(t),
-# per evaluated point.  Production shares c(t) across y and must give the
-# same floats in the ODE probe.  The integral-equation reference nests a
-# Hermite quadrature in a u-quadrature; production swaps the order of
-# integration, so the two agree to roundoff, not bit for bit.
+# References on the per-call path: one mgf(t, y, q) call per evaluated
+# point.  The ODE reference takes central differences with step h, so it
+# agrees with the exact probe to its h^2 truncation error.  The
+# integral-equation reference nests a Hermite quadrature in a u-quadrature;
+# production swaps the order of integration, so the two agree to roundoff,
+# not bit for bit.
 
 
 def ode_residual_reference(t, y, q, h):
@@ -580,7 +624,7 @@ class TestOneCoefficientPerT:
 
     @pytest.mark.parametrize("t,expected", [(-1.0, 1), (2.0, 1), (0.0, 0)])
     def test_ode_residual_computes_c_once(self, c_calls, t, expected):
-        an.ode_residual(t, 1.0, 0.4, 1e-3)
+        an.ode_residual(t, 1.0, 0.4)
         assert len(c_calls) == expected
 
     def test_mgf_moments_computes_c_once_per_distinct_node(self, c_calls):
@@ -596,16 +640,19 @@ class TestOneCoefficientPerT:
         assert len(c_calls) == 17
 
     @pytest.mark.parametrize("q", [0.05, 0.4, 0.9, 0.95])
-    def test_residuals_bit_identical_to_per_call_path(self, q):
+    def test_residuals_match_the_per_call_references(self, q):
+        # the stencil's h^2 error is at most 2.5e-7 of max(1, |M|) here
         for t in cli._ODE_T_GRID:
             for y in cli._ODE_Y_GRID:
-                residual, m = an.ode_residual(t, y, q, cli._ODE_STEP)
-                assert residual == ode_residual_reference(t, y, q, cli._ODE_STEP)
+                residual, m = an.ode_residual(t, y, q)
                 assert m == an.mgf(t, y, q)
+                stencil = ode_residual_reference(t, y, q, 1e-3)
+                assert abs(residual - stencil) <= 5e-7 * max(1.0, abs(m)), (t, y)
         for t in cli._IE_T_GRID:
-            bound = 1e-12 * max(1.0, abs(an.mgf(t, 0.0, q)))
-            swapped = an.integral_equation_residual(t, q)
-            assert abs(swapped - integral_equation_residual_reference(t, q)) <= bound
+            residual, m = an.integral_equation_residual(t, q)
+            assert m == an.mgf(t, 0.0, q)
+            bound = 1e-12 * max(1.0, abs(m))
+            assert abs(residual - integral_equation_residual_reference(t, q)) <= bound
 
 
 class TestDerivativeOracle:

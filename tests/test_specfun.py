@@ -282,17 +282,21 @@ class TestHermite:
         assert rel(sf._hermite_laplace(-0.6, 20.0), HERMITE_M06_AT_20) < 1e-12
         assert rel(sf._hermite_laplace(-0.95, 20.0), HERMITE_M095_AT_20) < 1e-12
 
-    @pytest.mark.parametrize("v", [0.001, 0.05, 0.35, 0.6, 0.95, 0.999])
+    @pytest.mark.parametrize(
+        "v",
+        [-2.999, -2.5, -2.0, -1.6, -1.0, -0.999, -0.6, -0.05,
+         0.001, 0.05, 0.35, 0.6, 0.95, 0.999],
+    )
     def test_laplace_route_positive_order(self, v):
-        # the MGF layer takes H_q from it; relative to max(|H|, 1) because
-        # H_v has a zero on the negative axis
+        # the MGF layer takes H_q, H_(q-1), H_(q-2) and H_(q-3) from it;
+        # relative to max(|H|, 1) because H_v has zeros on the negative axis
         for z in range(-26, 21):
             with mp.workdps(40):
                 want = float(mp.hermite(v, z))
             got = sf._hermite_laplace(v, float(z))
             assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), z
 
-    @pytest.mark.parametrize("v", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("v", [0.0, 1.0, -3.0, -3.5])
     def test_laplace_route_order_domain(self, v):
         with pytest.raises(DomainError):
             sf._hermite_laplace(v, 0.5)
