@@ -289,7 +289,8 @@ class TestHermite:
     )
     def test_laplace_route_positive_order(self, v):
         # the MGF layer takes H_q, H_(q-1), H_(q-2) and H_(q-3) from it;
-        # relative to max(|H|, 1) because H_v has zeros on the negative axis
+        # relative to max(|H|, 1) because H_v has a zero on the negative axis
+        # for v > 0
         for z in range(-26, 21):
             with mp.workdps(40):
                 want = float(mp.hermite(v, z))
